@@ -2,7 +2,8 @@
 
 Grammar: ``helly <linear|disks|gen> <subcommand> [flags]``. Exit codes
 form the complete contract: 0 success/consistent, 1 inconsistent or
-violating family, 2 input error. Reports mirror the library types
+violating family, 2 input error, 3 internal error (a library invariant
+failed; never a verdict). Reports mirror the library types
 one-to-one so downstream tooling can parse certificates.
 
 ``HELLY_THREADS`` caps internal parallelism; the current implementation
@@ -18,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import instances
+from .errors import InvariantViolation
 from .disks import CommonPoint, intersect_region, minimalist_helly_check
 from .linear import Consistent, LinearSystem, helly_certify, sample_consistency
 from .radicals import point_bounds, point_float, quad_float
@@ -264,6 +266,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -213,54 +213,27 @@ class ArcRegion:
         return best
 
 
-def pair_lens(a: Disk, b: Disk) -> ArcRegion:
-    """Two-disk intersection: a two-arc lens, a point, a full disk, or empty."""
-    family = (a, b)
+def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
+    """Intersection of ``family[i]`` and ``family[j]``, indexed into ``family``."""
+    a, b = family[i], family[j]
     rel = pair_relation(a, b)
     if rel.kind is PairKind.DISJOINT:
         return ArcRegion.empty(family)
     if rel.kind is PairKind.EXTERNAL_OSCULATION:
         return ArcRegion.single_point(qpoint(*rel.point), family)
-    if rel.kind is PairKind.EQUAL:
-        return ArcRegion.full_disk(0, family)
-    if rel.kind in (PairKind.INTERNAL_TANGENCY, PairKind.PROPER_CONTAINMENT):
-        return ArcRegion.full_disk(rel.inner, family)
-    low, high = _lens_corners(a, b)
-    return ArcRegion.from_arcs((Arc(0, low, high), Arc(1, high, low)), family)
+    if rel.kind is PairKind.PROPER_LENS:
+        low, high = _lens_corners(a, b)
+        return ArcRegion.from_arcs((Arc(i, low, high), Arc(j, high, low)), family)
+    return ArcRegion.full_disk(j if rel.inner == 1 else i, family)
+
+
+def pair_lens(a: Disk, b: Disk) -> ArcRegion:
+    """Two-disk intersection: a two-arc lens, a point, a full disk, or empty."""
+    return _pair_region(0, 1, (a, b))
 
 
 # ---------------------------------------------------------------------------
 # Incremental clipping
-
-
-class _CircleClass(Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    TOUCH = "touch"
-    CROSS = "cross"
-
-
-def _circle_vs_disk(circle: Disk, clip: Disk):
-    """Relation of the boundary circle of ``circle`` to the closed disk
-    ``clip``: fully inside, fully outside, one touch point, or a proper
-    crossing with a CCW allowed span (low, high)."""
-    dx, dy = clip.x - circle.x, clip.y - circle.y
-    d2 = dx * dx + dy * dy
-    rsum = circle.r + clip.r
-    if d2 > rsum * rsum:
-        return (_CircleClass.OUTSIDE, None)
-    if d2 == rsum * rsum:
-        t = circle.r / rsum
-        return (_CircleClass.TOUCH, qpoint(circle.x + t * dx, circle.y + t * dy))
-    rdiff = circle.r - clip.r
-    if d2 > rdiff * rdiff:
-        return (_CircleClass.CROSS, _lens_corners(circle, clip))
-    if d2 == rdiff * rdiff:
-        if clip.r > circle.r:
-            return (_CircleClass.INSIDE, None)
-        t = circle.r / (circle.r - clip.r)
-        return (_CircleClass.TOUCH, qpoint(circle.x + t * dx, circle.y + t * dy))
-    return (_CircleClass.INSIDE, None) if clip.r > circle.r else (_CircleClass.OUTSIDE, None)
 
 
 def _span_pieces(
@@ -319,26 +292,8 @@ def _span_pieces(
 
 def _disk_within(inner: Disk, outer: Disk) -> bool:
     """Closed containment of one disk in another, exact."""
-    if inner.r > outer.r:
-        return False
-    dx, dy = inner.x - outer.x, inner.y - outer.y
-    gap = outer.r - inner.r
-    return dx * dx + dy * dy <= gap * gap
-
-
-def _clip_full(full_index: int, new_index: int, family: tuple[Disk, ...]) -> ArcRegion:
-    base, new = family[full_index], family[new_index]
-    rel = pair_relation(base, new)
-    if rel.kind is PairKind.DISJOINT:
-        return ArcRegion.empty(family)
-    if rel.kind is PairKind.EXTERNAL_OSCULATION:
-        return ArcRegion.single_point(qpoint(*rel.point), family)
-    if rel.kind is PairKind.EQUAL:
-        raise InvariantViolation("duplicate disks must be removed before clipping")
-    if rel.kind in (PairKind.INTERNAL_TANGENCY, PairKind.PROPER_CONTAINMENT):
-        return ArcRegion.full_disk(full_index if rel.inner == 0 else new_index, family)
-    low, high = _lens_corners(base, new)
-    return ArcRegion.from_arcs((Arc(full_index, low, high), Arc(new_index, high, low)), family)
+    rel = pair_relation(inner, outer)
+    return rel.kind is PairKind.EQUAL or rel.inner == 0
 
 
 def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
@@ -349,42 +304,47 @@ def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
     if region.kind is RegionKind.POINT:
         return region if in_disk(region.point, new) else ArcRegion.empty(family)
     if region.kind is RegionKind.FULL:
-        return _clip_full(region.full_index, new_index, family)
+        return _pair_region(region.full_index, new_index, family)
 
     pieces: list[Arc] = []
     touches: list[QuadPoint] = []
     for arc in region.arcs:
         carrier = family[arc.disk]
-        klass, payload = _circle_vs_disk(carrier, new)
-        if klass is _CircleClass.INSIDE:
+        rel = pair_relation(carrier, new)
+        if rel.kind is PairKind.EQUAL or rel.inner == 0:
+            # the carrier circle lies in the new disk
             pieces.append(arc)
-        elif klass is _CircleClass.OUTSIDE:
+        elif rel.kind in (PairKind.DISJOINT, PairKind.PROPER_CONTAINMENT):
             continue
-        elif klass is _CircleClass.TOUCH:
-            p = payload
+        elif rel.kind is PairKind.PROPER_LENS:
+            low, high = _lens_corners(carrier, new)
+            for s, e in _span_pieces(arc.start, arc.end, low, high, carrier.x, carrier.y):
+                if same_point(s, e):
+                    touches.append(s)
+                else:
+                    pieces.append(Arc(arc.disk, s, e))
+        else:
+            # external osculation, or the new disk inside the carrier
+            # touching it: one shared point
+            p = qpoint(*rel.point)
             if (
                 same_point(p, arc.start)
                 or same_point(p, arc.end)
                 or ccw_in_span(p, arc.start, arc.end, carrier.x, carrier.y)
             ):
                 touches.append(p)
-        else:
-            low, high = payload
-            for s, e in _span_pieces(arc.start, arc.end, low, high, carrier.x, carrier.y):
-                if same_point(s, e):
-                    touches.append(s)
-                else:
-                    pieces.append(Arc(arc.disk, s, e))
 
     if not pieces:
+        # Containment first: a new disk inside the region can also touch
+        # its boundary from inside, and is then the whole intersection.
+        if all(_disk_within(new, family[j]) for j in seen):
+            return ArcRegion.full_disk(new_index, family)
         if touches:
             first = touches[0]
             for other in touches[1:]:
                 if not same_point(first, other):
                     raise InvariantViolation("disconnected touch points in a convex clip")
             return ArcRegion.single_point(first, family)
-        if all(_disk_within(new, family[j]) for j in seen):
-            return ArcRegion.full_disk(new_index, family)
         return ArcRegion.empty(family)
 
     # Touch points beside surviving pieces are already members of the new

@@ -5,18 +5,17 @@ arithmetic underneath has to be exact: one rounded pivot can turn an
 inconsistent system into a "consistent" one. Everything here works over
 arbitrary-precision rationals and never rounds.
 
-Two elimination routines live here:
+One elimination routine lives here: ``bareiss``, fraction-free (Bareiss
+1968) elimination on an integer copy of the rows. Intermediate entries
+stay polynomially bounded and no gcd reduction happens per step. ``rank``
+is its pivot count, subsystem consistency (in ``helly.linear``) reads its
+leftover rows, and ``solve_affine`` adds one rational back-substitution to
+reach the canonical witness (free variables pinned to zero) and a
+nullspace basis.
 
-* ``rank`` runs fraction-free (Bareiss) elimination on an integer copy of
-  the matrix. Intermediate entries stay polynomially bounded and no gcd
-  reduction happens per step.
-* ``solve_affine`` runs ordinary rational Gauss-Jordan, because it has to
-  produce the canonical witness (free variables pinned to zero) and a
-  nullspace basis, not just a count.
-
-Pivoting is deterministic in both: first nonzero entry in the leftmost
-unresolved column, no magnitude heuristics. Witnesses are therefore
-reproducible byte for byte.
+Pivoting is deterministic: first nonzero entry in the leftmost unresolved
+column, no magnitude heuristics. Witnesses are therefore reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .errors import InvariantViolation
 
 Rat = Fraction
 
@@ -83,14 +84,48 @@ class RatMatrix:
         return RatMatrix(self.rows, self.cols + 1, tuple(ents))
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    # Row scaling by a positive constant leaves the rank unchanged.
-    out: list[list[int]] = []
-    for i in range(m.rows):
-        row = m.row(i)
-        mul = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mul) for x in row])
-    return out
+def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of ``rows``, pivoting only within the
+    first ``ncols`` columns.
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which changes neither the rank nor the consistency of any subset of
+    rows. Later columns (a right-hand side) are carried along but never
+    pivoted on. Returns the echelon rows and the pivot columns: row ``i``
+    is the pivot row of ``pivots[i]``, and every row past the pivot rows
+    is zero in the first ``ncols`` columns.
+    """
+    a: list[list[int]] = []
+    for row in rows:
+        mul = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (mul // x.denominator) for x in row])
+    nrows = len(a)
+    width = len(a[0]) if a else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        rowr = a[r]
+        p = rowr[c]
+        for i in range(r + 1, nrows):
+            rowi = a[i]
+            q = rowi[c]
+            for j in range(c + 1, width):
+                quot, rem = divmod(p * rowi[j] - q * rowr[j], prev)
+                if rem:
+                    raise InvariantViolation("fraction-free elimination lost exactness")
+                rowi[j] = quot
+            rowi[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def rank(m: RatMatrix) -> int:
@@ -99,39 +134,7 @@ def rank(m: RatMatrix) -> int:
     Result is independent of row and column order; the empty matrix has
     rank zero.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, nrows):
-            q = a[i][c]
-            rowi, rowr = a[i], a[r]
-            if q:
-                for j in range(c + 1, ncols):
-                    num = p * rowi[j] - q * rowr[j]
-                    quot, rem = divmod(num, prev)
-                    assert rem == 0, "fraction-free elimination lost exactness"
-                    rowi[j] = quot
-            else:
-                for j in range(c + 1, ncols):
-                    num = p * rowi[j]
-                    quot, rem = divmod(num, prev)
-                    assert rem == 0, "fraction-free elimination lost exactness"
-                    rowi[j] = quot
-            rowi[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(bareiss(m.to_rows(), m.cols)[1])
 
 
 @dataclass(frozen=True)
@@ -184,37 +187,28 @@ def solve_affine(m: RatMatrix, rhs: Sequence[Rat]) -> AffineSolutionSet | None:
     """
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length must equal row count")
-    nrows, ncols = m.rows, m.cols
-    a = [list(m.row(i)) + [Fraction(rhs[i])] for i in range(nrows)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
+    ncols = m.cols
+    a, pivots = bareiss((m.row(i) + (Fraction(rhs[i]),) for i in range(m.rows)), ncols)
+    r = len(pivots)
+    if any(row[ncols] != 0 for row in a[r:]):
+        return None
+    # Back-substitution to the reduced echelon form, which is unique, so
+    # witness and basis do not depend on how the echelon form was reached.
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    for i in range(r - 1, 0, -1):
+        c = pivots[i]
+        for h in range(i):
+            f = red[h][c]
+            if f:
+                red[h] = [x - f * y for x, y in zip(red[h], red[i])]
     point = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        point[c] = a[i][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    for row, c in zip(red, pivots):
+        point[c] = row[ncols]
     basis: list[tuple[Rat, ...]] = []
-    for f in free_cols:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -a[i][f]
+        for row, c in zip(red, pivots):
+            vec[c] = -row[f]
         basis.append(tuple(vec))
     return AffineSolutionSet(tuple(point), tuple(basis))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .disks import Disk, disk
-from .linear import Equation, LinearSystem, linear_system
+from .linear import Equation, LinearSystem, equation, linear_system
 
 FORMAT_VERSION = 1
 
@@ -138,35 +138,43 @@ def venn_triple() -> list[Disk]:
 # Random generators (deterministic under seed)
 
 
+def _check_size(n: int, k: int | None = None) -> None:
+    if n < 0:
+        raise ValueError(f"instance size n must be nonnegative, got {n}")
+    if k is not None and k < 1:
+        raise ValueError(f"unknown count k must be at least 1, got {k}")
+
+
 def gen_random_linear(n: int, k: int, seed: int, lo: int = -5, hi: int = 5) -> LinearSystem:
     """Random nondegenerate equations with integer data in [lo, hi]."""
+    _check_size(n, k)
     rng = random.Random(seed)
-    rows, rhs = [], []
+    eqs = []
     for _ in range(n):
         row = [rng.randint(lo, hi) for _ in range(k)]
         while all(c == 0 for c in row):
             row = [rng.randint(lo, hi) for _ in range(k)]
-        rows.append(row)
-        rhs.append(rng.randint(lo, hi))
-    return linear_system(rows, rhs)
+        eqs.append(equation(row, rng.randint(lo, hi)))
+    return LinearSystem(k, tuple(eqs))
 
 
 def gen_consistent_linear(n: int, k: int, seed: int, lo: int = -5, hi: int = 5) -> LinearSystem:
     """Random nondegenerate system with a planted integer solution."""
+    _check_size(n, k)
     rng = random.Random(seed)
     solution = [rng.randint(-3, 3) for _ in range(k)]
-    rows, rhs = [], []
+    eqs = []
     for _ in range(n):
         row = [rng.randint(lo, hi) for _ in range(k)]
         while all(c == 0 for c in row):
             row = [rng.randint(lo, hi) for _ in range(k)]
-        rows.append(row)
-        rhs.append(sum(c * x for c, x in zip(row, solution)))
-    return linear_system(rows, rhs)
+        eqs.append(equation(row, sum(c * x for c, x in zip(row, solution))))
+    return LinearSystem(k, tuple(eqs))
 
 
 def gen_random_disks(n: int, seed: int) -> list[Disk]:
     """Random rational disks in a small box; no structure planted."""
+    _check_size(n)
     rng = random.Random(seed)
     out = []
     for _ in range(n):
@@ -179,6 +187,7 @@ def gen_random_disks(n: int, seed: int) -> list[Disk]:
 
 def gen_helly_disks(n: int, seed: int) -> list[Disk]:
     """Random disks all containing one planted rational point."""
+    _check_size(n)
     rng = random.Random(seed)
     px = Fraction(rng.randint(-8, 8), 2)
     py = Fraction(rng.randint(-8, 8), 2)

@@ -19,13 +19,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, RatMatrix, solve_affine
+from .exactq import AffineSolutionSet, Rat, RatMatrix, bareiss, solve_affine
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
 
@@ -116,44 +114,15 @@ def witness_satisfies(system: LinearSystem, witness: AffineSolutionSet) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _integer_aug_rows(system: LinearSystem) -> tuple[tuple[int, ...], ...]:
-    # Each augmented row scaled to integers once; scaling cannot change
-    # consistency of any subsystem.
-    rows = []
-    for eq in system.equations:
-        vals = list(eq.coeffs) + [eq.rhs]
-        mul = lcm(*(v.denominator for v in vals))
-        rows.append(tuple(int(v * mul) for v in vals))
-    return tuple(rows)
-
-
-def _subsystem_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:
+def _consistent(aug_rows: Sequence[Sequence[Rat]], k: int) -> bool:
     """Rank comparison in one pass: eliminate on the coefficient columns
     only, then look for a leftover row reading 0 = nonzero."""
-    src = _integer_aug_rows(system)
-    a = [list(src[i]) for i in indices]
-    k = system.unknowns
-    prev = 1
-    r = 0
-    nrows = len(a)
-    for c in range(k):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, nrows):
-            q = a[i][c]
-            rowi, rowr = a[i], a[r]
-            for j in range(c + 1, k + 1):
-                rowi[j] = (p * rowi[j] - q * rowr[j]) // prev
-            rowi[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return all(a[i][k] == 0 for i in range(r, nrows))
+    a, pivots = bareiss(aug_rows, k)
+    return all(row[k] == 0 for row in a[len(pivots):])
+
+
+def _augmented_rows(system: LinearSystem) -> list[tuple[Rat, ...]]:
+    return [eq.coeffs + (eq.rhs,) for eq in system.equations]
 
 
 def _validated_indices(system: LinearSystem, indices: Iterable[int]) -> tuple[int, ...]:
@@ -183,8 +152,9 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
+    aug = _augmented_rows(system)
     for idx in combinations(range(system.n), size):
-        if not _subsystem_consistent(system, idx):
+        if not _consistent([aug[i] for i in idx], system.unknowns):
             return idx
     return None
 
@@ -221,9 +191,9 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
         return Consistent(witness)
     bound = min(system.unknowns + 1, system.n)
     for size in range(2, bound + 1):
-        for idx in combinations(range(system.n), size):
-            if not _subsystem_consistent(system, idx):
-                return Inconsistent(idx)
+        idx = all_subsystems_consistent(system, size)
+        if idx is not None:
+            return Inconsistent(idx)
     raise InvariantViolation(
         "inconsistent system with no inconsistent subsystem of size <= k+1; "
         "this contradicts the certification bound and indicates a bug"
@@ -253,11 +223,12 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     if trials < 1:
         raise ValueError("at least one trial required")
     rng = random.Random(seed)
+    aug = _augmented_rows(system)
     bad = 0
     first_hit: tuple[int, ...] | None = None
     for _ in range(trials):
         idx = tuple(sorted(rng.sample(range(system.n), size)))
-        if not _subsystem_consistent(system, idx):
+        if not _consistent([aug[i] for i in idx], system.unknowns):
             bad += 1
             if first_hit is None:
                 first_hit = idx

@@ -194,6 +194,21 @@ def test_nested_tangent_disks_reduce_to_innermost():
     assert region.full_index == 2
 
 
+def test_disk_inside_region_tangent_to_its_boundary_becomes_full():
+    # disk 2 lies in the lens of disks 0 and 1 and touches disk 0 from
+    # inside at (-4, -3): the intersection is all of disk 2, not the point
+    region = intersect_region([disk(0, -3, 4), disk(-2, -2, 4), disk(-2, -3, 2)])
+    assert region.kind is RegionKind.FULL
+    assert region.full_index == 2
+
+
+def test_disk_inside_region_tangent_to_two_arcs_becomes_full():
+    # disk 2 touches both lens arcs from inside, at (2, 0) and (1, -1)
+    region = intersect_region([disk(0, 0, 2), disk(1, 1, 2), disk(1, 0, 1)])
+    assert region.kind is RegionKind.FULL
+    assert region.full_index == 2
+
+
 def test_duplicates_do_not_change_result():
     fam = [disk(0, 0, 1), disk(1, 0, 1)]
     with_dups = [disk(0, 0, 1), disk(0, 0, 1), disk(1, 0, 1), disk(1, 0, 1)]
@@ -305,6 +320,25 @@ def test_check_venn_triple_with_huge_superset_disk():
     assert isinstance(verdict, ViolatingTriple)
     assert verdict.indices == (0, 1, 2)
     assert not triple_meet(fam[0], fam[1], fam[2])
+
+
+def test_check_on_tangency_heavy_lattice_families():
+    # Integer centres in [-3, 3] and radii 1-5 make tangencies and repeated
+    # disks common; each verdict is checked by means independent of clipping.
+    rng = random.Random(6000)
+    grid = GridSpec(Fraction(-8), Fraction(-8), Fraction(8), Fraction(8), 16)
+    for _ in range(1000):
+        fam = [disk(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(3, 5))]
+        if rng.random() < 0.3:
+            fam.insert(rng.randint(0, len(fam)), rng.choice(fam))
+        verdict = minimalist_helly_check(fam)
+        if isinstance(verdict, CommonPoint):
+            assert all(in_disk(verdict.point, d) for d in fam), fam
+        else:
+            triple = [fam[i] for i in verdict.indices]
+            assert not triple_meet(*triple), fam
+            # no lattice point of the triple, hence none of the family
+            assert grid_meet_oracle(triple, grid) is None, fam
 
 
 def test_check_planted_families_have_verified_common_point():

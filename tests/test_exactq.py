@@ -143,3 +143,46 @@ def test_rank_agrees_with_oracle_property(rows):
     m = RatMatrix.from_rows(rows)
     assert rank(m) == naive_rank(m)
     assert rank(m) == rank(m.transpose())
+
+
+_small_rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(_small_rat, min_size=c, max_size=c), min_size=0, max_size=5),
+            st.lists(_small_rat, min_size=c, max_size=c),
+            st.booleans(),
+            st.just(c),
+        )
+    ),
+    st.lists(_small_rat, min_size=5, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_solve_affine_canonical_form_property(system, loose_rhs):
+    # Pins the witness and basis to the reduced echelon form by checks an
+    # independent rank oracle can make, without a second solver.
+    rows, x0, planted, ncols = system
+    rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows] if planted else loose_rhs[: len(rows)]
+    m = RatMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
+    sol = solve_affine(m, rhs)
+    aug = RatMatrix(len(rows), ncols + 1, tuple(x for row, b in zip(rows, rhs) for x in row + [b]))
+    if sol is None:
+        assert naive_rank(m) < naive_rank(aug)
+        return
+    assert naive_rank(m) == naive_rank(aug)
+
+    def prefix_rank(c):
+        return naive_rank(RatMatrix(len(rows), c, tuple(x for row in rows for x in row[:c])))
+
+    pivots = [c for c in range(ncols) if prefix_rank(c + 1) > prefix_rank(c)]
+    free = [c for c in range(ncols) if c not in pivots]
+    assert all(sol.point[c] == 0 for c in free)
+    for row, b in zip(rows, rhs):
+        assert sum(a * x for a, x in zip(row, sol.point)) == b
+    assert len(sol.basis) == len(free)
+    for f, vec in zip(free, sol.basis):
+        assert [vec[c] for c in free] == [int(c == f) for c in free]
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, vec)) == 0

@@ -284,3 +284,50 @@ def test_cli_random_kinds_deterministic(tmp_path):
     c = _gen(tmp_path, "random-linear", "c.json", "--n", "6", "--k", "2", "--seed", "3")
     d = _gen(tmp_path, "random-linear", "d.json", "--n", "6", "--k", "2", "--seed", "3")
     assert c.read_text() == d.read_text()
+
+
+def test_cli_disk_inside_region_touching_two_arcs(tmp_path, capsys):
+    from helly import disk
+
+    path = tmp_path / "inner.json"
+    path.write_text(dumps_disks([disk(0, 0, 2), disk(1, 1, 2), disk(1, 0, 1)]))
+    code = main(["disks", "check", str(path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["verdict"] == "common-point"
+
+
+def test_cli_internal_fault_exits_three(tmp_path, capsys, monkeypatch):
+    import helly.linear
+
+    path = tmp_path / "ok.json"
+    path.write_text(dumps_linear(helly.linear.linear_system([[1, 1], [1, -1]], [2, 0])))
+    monkeypatch.setattr(helly.linear, "witness_satisfies", lambda system, witness: False)
+    assert main(["linear", "certify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "consistent-linear", "--n", "3", "--k", "-2"],
+        ["gen", "random-linear", "--n", "3", "--k", "0"],
+        ["gen", "random-linear", "--n", "-3"],
+        ["gen", "consistent-linear", "--n", "-1"],
+        ["gen", "random-disks", "--n", "-1"],
+        ["gen", "helly-disks", "--n", "-2"],
+    ],
+)
+def test_cli_gen_rejects_bad_sizes(argv, capsys):
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_gen_zero_equations_keeps_unknowns(capsys):
+    for kind in ("random-linear", "consistent-linear"):
+        assert main(["gen", kind, "--n", "0", "--k", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["unknowns"] == 4
+        assert doc["equations"] == []
