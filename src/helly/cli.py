@@ -16,9 +16,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import instances
+from .instances import _rat_pair
 from .errors import InvariantViolation
 from .disks import CommonPoint, intersect_region, minimalist_helly_check
 from .linear import Consistent, LinearSystem, helly_certify, sample_consistency
@@ -27,6 +27,7 @@ from .separation import separating_line
 from .svg import render_disks
 
 DEFAULT_PRECISION = 53
+MAX_PRECISION = 4096  # widest accepted --precision, in bits
 
 
 def _fail(message: str) -> int:
@@ -47,6 +48,11 @@ def _read_threads_cap() -> int | None:
     return cap
 
 
+def _check_precision(bits: int) -> None:
+    if not 0 <= bits <= MAX_PRECISION:
+        raise ValueError(f"--precision must be between 0 and {MAX_PRECISION} bits, got {bits}")
+
+
 def _load(path: str, want_kind: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -58,10 +64,6 @@ def _load(path: str, want_kind: str):
     if want_kind == "disks" and isinstance(payload, LinearSystem):
         raise ValueError(f"{path} holds a linear instance, expected disks")
     return payload
-
-
-def _rat_pair(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
 
 
 def _witness_doc(witness) -> dict:
@@ -127,6 +129,7 @@ def _enclosure_doc(point, bits: int) -> dict:
 
 
 def _cmd_disks_check(args) -> int:
+    _check_precision(args.precision)
     family = _load(args.path, "disks")
     if len(family) < 3:
         raise ValueError("disk check requires at least three disks")
@@ -150,6 +153,7 @@ def _cmd_disks_check(args) -> int:
 
 
 def _cmd_disks_svg(args) -> int:
+    _check_precision(args.precision)
     family = _load(args.path, "disks")
     segment = line = None
     query = args.query

@@ -26,13 +26,10 @@ from .exactq import Rat
 from .radicals import (
     QuadPoint,
     ccw_in_span,
-    midpoint_dot_coeffs,
     point_lex_cmp,
     qpoint,
     quadval,
     same_point,
-    sign_quartic,
-    vec_from,
 )
 
 
@@ -113,14 +110,6 @@ def disk_side(p: QuadPoint, d: Disk) -> int:
 
 def in_disk(p: QuadPoint, d: Disk) -> bool:
     return disk_side(p, d) <= 0
-
-
-def midpoint_side(p: QuadPoint, q: QuadPoint, d: Disk) -> int:
-    """Side of the midpoint of p and q, even when their radicands differ."""
-    u = vec_from(p, d.x, d.y)
-    v = vec_from(q, d.x, d.y)
-    e0, e1, e2, e3, d1, d2 = midpoint_dot_coeffs(u, v)
-    return sign_quartic(e0 - d.r * d.r, e1, e2, e3, d1, d2)
 
 
 def _lens_corners(a: Disk, b: Disk) -> tuple[QuadPoint, QuadPoint]:
@@ -241,53 +230,30 @@ def _span_pieces(
     v: QuadPoint,
     a: QuadPoint,
     b: QuadPoint,
-    cx: Fraction,
-    cy: Fraction,
+    carrier: Disk,
+    new: Disk,
 ) -> list[tuple[QuadPoint, QuadPoint]]:
-    """Intersect the CCW arc span [u, v] with the CCW allowed span [a, b]
-    on one circle. Returns pieces in order from u; single points come back
-    as degenerate (p, p) pairs."""
-    events: list[tuple[QuadPoint, bool]] = []  # (point, opens_allowed)
-    for p, opens in ((a, True), (b, False)):
-        if same_point(p, u) or same_point(p, v):
-            continue
-        if ccw_in_span(p, u, v, cx, cy):
-            events.append((p, opens))
-    if len(events) == 2 and not ccw_in_span(events[0][0], u, events[1][0], cx, cy):
-        events.reverse()
+    """Intersect the CCW arc [u, v] of the carrier circle with the closed
+    CCW span [a, b] of that circle inside ``new``. Returns pieces in order
+    from u; single points come back as degenerate (p, p) pairs.
 
-    if same_point(u, a):
-        state = True
-    elif same_point(u, b):
-        state = False
-    else:
-        state = ccw_in_span(u, a, b, cx, cy)
-
-    pieces: list[tuple[QuadPoint, QuadPoint]] = []
-    cursor = u if state else None
-    for p, opens in events:
-        if opens:
-            if state:
-                raise InvariantViolation("arc clipping events out of order")
-            state, cursor = True, p
-        else:
-            if not state:
-                raise InvariantViolation("arc clipping events out of order")
-            pieces.append((cursor, p))
-            state, cursor = False, None
-    if state:
-        pieces.append((cursor, v))
-
-    def in_allowed_closed(p: QuadPoint) -> bool:
-        return same_point(p, a) or same_point(p, b) or ccw_in_span(p, a, b, cx, cy)
-
-    # Endpoint touches: u or v can sit exactly on the allowed boundary
-    # while the open arc next to them is clipped away.
-    if not (pieces and same_point(pieces[0][0], u)) and in_allowed_closed(u):
-        pieces.insert(0, (u, u))
-    if not (pieces and same_point(pieces[-1][1], v)) and in_allowed_closed(v):
-        pieces.append((v, v))
-    return pieces
+    u and v lie on the carrier circle, so each is in [a, b] exactly when
+    it lies in ``new``. As [a, b] is one interval of the circle, the two
+    endpoint tests leave four cases and at most one span test.
+    """
+    u_in, v_in = in_disk(u, new), in_disk(v, new)
+    if u_in and v_in:
+        # Either the arc stays inside, or it leaves at b and comes back at a.
+        if not same_point(b, v) and ccw_in_span(b, u, v, carrier.x, carrier.y):
+            return [(u, b), (a, v)]
+        return [(u, v)]
+    if u_in:
+        return [(u, b)]
+    if v_in:
+        return [(a, v)]
+    if ccw_in_span(a, u, v, carrier.x, carrier.y):
+        return [(a, b)]
+    return []
 
 
 def _disk_within(inner: Disk, outer: Disk) -> bool:
@@ -318,7 +284,7 @@ def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
             continue
         elif rel.kind is PairKind.PROPER_LENS:
             low, high = _lens_corners(carrier, new)
-            for s, e in _span_pieces(arc.start, arc.end, low, high, carrier.x, carrier.y):
+            for s, e in _span_pieces(arc.start, arc.end, low, high, carrier, new):
                 if same_point(s, e):
                     touches.append(s)
                 else:
@@ -371,10 +337,10 @@ def intersect_region(family: Sequence[Disk]) -> ArcRegion:
     disks = tuple(family)
     if not disks:
         raise ValueError("family must be nonempty")
-    keep: list[int] = []
+    first: dict[Disk, int] = {}
     for i, d in enumerate(disks):
-        if not any(disks[j] == d for j in keep):
-            keep.append(i)
+        first.setdefault(d, i)
+    keep = list(first.values())
     region = ArcRegion.full_disk(keep[0], disks)
     seen = [keep[0]]
     for idx in keep[1:]:

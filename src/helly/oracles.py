@@ -2,7 +2,7 @@
 
 Nothing here shares an elimination routine or a membership test with the
 production modules; a correlated bug would defeat the point of checking
-one against the other. Everything is plain rational Gauss-Jordan and
+one against the other. Everything is plain rational elimination and
 exhaustive scans, gated to desk-scale sizes.
 """
 
@@ -45,13 +45,26 @@ def naive_rank(m: RatMatrix) -> int:
 
 
 def _oracle_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:
-    rows = [list(system.equations[i].coeffs) for i in indices]
-    rhs = [system.equations[i].rhs for i in indices]
-    coeff = RatMatrix.from_rows(rows) if rows else RatMatrix(0, system.unknowns, ())
-    aug = RatMatrix.from_rows([row + [b] for row, b in zip(rows, rhs)]) if rows else coeff
-    if not rows:
-        return True
-    return naive_rank(coeff) == naive_rank(aug)
+    """Consistency by one forward rational elimination of the augmented rows.
+
+    Pivots come from the coefficient columns only, so the system is
+    inconsistent exactly when a leftover row reads 0 = nonzero.
+    """
+    k = system.unknowns
+    rows = [[*system.equations[i].coeffs, system.equations[i].rhs] for i in indices]
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        for row in rows[r + 1 :]:
+            if row[c] != 0:
+                f = Fraction(row[c]) / top[c]
+                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
+        r += 1
+    return all(row[k] == 0 for row in rows[r:])
 
 
 def exhaustive_min_inconsistent(system: LinearSystem) -> tuple[int, ...] | None:

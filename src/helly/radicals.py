@@ -115,9 +115,6 @@ def quadval(a, b=0, d=0) -> QuadVal:
     return QuadVal(an, bn, dn)
 
 
-Q_ZERO = quadval(0)
-
-
 def sign_one(a: Fraction, b: Fraction, d) -> int:
     """Sign of ``a + b*sqrt(d)`` for rational a, b and d >= 0."""
     if b == 0 or d == 0:
@@ -194,30 +191,6 @@ def sign_quartic(e0: Fraction, e1: Fraction, e2: Fraction, e3: Fraction, d1, d2)
     return 0
 
 
-def sign_nested(lin: QuadVal, c: Fraction, rad: QuadVal) -> int:
-    """Sign of ``lin + c*sqrt(rad)`` where lin and rad share one radicand.
-
-    ``rad`` must be nonnegative (callers pass squared norms).
-    """
-    sr = rad.sign()
-    if sr < 0:
-        raise ValueError("nested radicand must be nonnegative")
-    if c == 0 or sr == 0:
-        return lin.sign()
-    s_a = lin.sign()
-    s_b = sign_of(c)
-    if s_a == 0:
-        return s_b
-    if s_a == s_b:
-        return s_a
-    m = (lin * lin - c * c * rad).sign()
-    if m > 0:
-        return s_a
-    if m < 0:
-        return s_b
-    return 0
-
-
 def qcmp(x: QuadVal, y: QuadVal) -> int:
     """Exact comparison of two values, radicands may differ."""
     return sign_two(x.a - y.a, x.b, x.d, -y.b, y.d)
@@ -246,9 +219,6 @@ class QuadPoint:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    def rational_pair(self) -> tuple[Fraction, Fraction]:
-        return self.x.rational(), self.y.rational()
-
 
 def qpoint(x, y) -> QuadPoint:
     """Point from plain rationals."""
@@ -270,11 +240,6 @@ Vec = tuple[QuadVal, QuadVal]
 def vec_from(p: QuadPoint, cx: Fraction, cy: Fraction) -> Vec:
     """Vector from the rational point (cx, cy) to p."""
     return (p.x - cx, p.y - cy)
-
-
-def rot90(v: Vec) -> Vec:
-    """Counterclockwise quarter turn."""
-    return (-v[1], v[0])
 
 
 def _vec_radicand(v: Vec) -> int:
@@ -315,19 +280,6 @@ def same_direction(u: Vec, v: Vec) -> bool:
     return cross_sign(u, v) == 0 and dot_sign(u, v) > 0
 
 
-def beyond_foot_sign(u: Vec, v: Vec) -> int:
-    """Sign of (u - v) . v for vectors from one rational origin.
-
-    Positive exactly when u projects past v's endpoint along v; this is
-    the half-plane test for the line through v's endpoint normal to v,
-    decided exactly even when u and v carry different radicands.
-    """
-    e0, e1, e2, e3, d1, d2 = _bilinear_coeffs(u, v, cross=False)
-    vv = v[0] * v[0] + v[1] * v[1]
-    # v.v lives on the (1, sqrt(d2)) axes of the quartic basis
-    return sign_quartic(e0 - vv.a, e1, e2 - vv.b, e3, d1, d2)
-
-
 def vec_in_ccw_span(x: Vec, a: Vec, b: Vec) -> bool:
     """Is direction x inside the closed counterclockwise fan from a to b?
 
@@ -351,20 +303,6 @@ def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Frac
     All three points are expected on one circle centered there.
     """
     return vec_in_ccw_span(vec_from(x, cx, cy), vec_from(a, cx, cy), vec_from(b, cx, cy))
-
-
-def midpoint_dot_coeffs(u: Vec, v: Vec):
-    """Quartic coefficients of |(u + v)/2|^2 (used for convexity checks)."""
-    d1 = _vec_radicand(u)
-    d2 = _vec_radicand(v)
-    uu = u[0] * u[0] + u[1] * u[1]
-    vv = v[0] * v[0] + v[1] * v[1]
-    m0, m1, m2, m3, _, _ = _bilinear_coeffs(u, v, cross=False)
-    e0 = uu.a / 4 + vv.a / 4 + m0 / 2
-    e1 = uu.b / 4 + m1 / 2
-    e2 = vv.b / 4 + m2 / 2
-    e3 = m3 / 2
-    return e0, e1, e2, e3, d1, d2
 
 
 # ---------------------------------------------------------------------------

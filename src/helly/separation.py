@@ -118,10 +118,6 @@ class ClosestPairResult:
             work *= 2
 
 
-def _corner_list(g: ArcRegion) -> list[QuadPoint]:
-    return [arc.start for arc in g.arcs]
-
-
 def _foot_candidate(t: Disk, carrier: Disk, arc: Arc | None):
     """Center gap squared for the carrier-circle point facing t's center,
     or None when that direction misses the arc's span."""
@@ -204,12 +200,11 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
         data = _foot_result(t, carrier, 0, w, d2)
         return ClosestPairResult(query=t, center_gap_sq=gap_sq, **data)
 
-    center_inside = all(in_disk(qpoint(t.x, t.y), d) for d in g.family)
-    if center_inside:
+    if g.contains(qpoint(t.x, t.y)):
         raise ValueError("query disk meets the region")
 
     best = None  # (gap_sq, builder)
-    for ci, corner in enumerate(_corner_list(g)):
+    for ci, corner in enumerate(g.corners()):
         gap_sq = _corner_gap_sq(t, corner)
         if best is None or qcmp(gap_sq, best[0]) < 0:
             best = (gap_sq, lambda gs=gap_sq, c=corner, i=ci: _corner_result(t, c, i, gs))

@@ -1,8 +1,18 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and test-only exact predicates."""
 
 from fractions import Fraction
 
 from helly import Disk, LinearSystem, linear_system
+from helly.radicals import (
+    QuadPoint,
+    QuadVal,
+    Vec,
+    _bilinear_coeffs,
+    _vec_radicand,
+    sign_of,
+    sign_quartic,
+    vec_from,
+)
 
 
 def random_nondegenerate_system(rng, k=None, n=None, planted=None, lo=-5, hi=5) -> LinearSystem:
@@ -39,3 +49,65 @@ def random_family(rng, n=None, **kw) -> list[Disk]:
     if n is None:
         n = rng.randint(3, 10)
     return [random_disk(rng, **kw) for _ in range(n)]
+
+
+# -- exact predicates used only by the tests ---------------------------------
+
+
+def sign_nested(lin: QuadVal, c: Fraction, rad: QuadVal) -> int:
+    """Sign of ``lin + c*sqrt(rad)`` where lin and rad share one radicand.
+
+    ``rad`` must be nonnegative (callers pass squared norms).
+    """
+    sr = rad.sign()
+    if sr < 0:
+        raise ValueError("nested radicand must be nonnegative")
+    if c == 0 or sr == 0:
+        return lin.sign()
+    s_a = lin.sign()
+    s_b = sign_of(c)
+    if s_a == 0:
+        return s_b
+    if s_a == s_b:
+        return s_a
+    m = (lin * lin - c * c * rad).sign()
+    if m > 0:
+        return s_a
+    if m < 0:
+        return s_b
+    return 0
+
+
+def beyond_foot_sign(u: Vec, v: Vec) -> int:
+    """Sign of (u - v) . v for vectors from one rational origin.
+
+    Positive exactly when u projects past v's endpoint along v; this is
+    the half-plane test for the line through v's endpoint normal to v,
+    decided exactly even when u and v carry different radicands.
+    """
+    e0, e1, e2, e3, d1, d2 = _bilinear_coeffs(u, v, cross=False)
+    vv = v[0] * v[0] + v[1] * v[1]
+    # v.v lives on the (1, sqrt(d2)) axes of the quartic basis
+    return sign_quartic(e0 - vv.a, e1, e2 - vv.b, e3, d1, d2)
+
+
+def midpoint_dot_coeffs(u: Vec, v: Vec):
+    """Quartic coefficients of |(u + v)/2|^2 (used for convexity checks)."""
+    d1 = _vec_radicand(u)
+    d2 = _vec_radicand(v)
+    uu = u[0] * u[0] + u[1] * u[1]
+    vv = v[0] * v[0] + v[1] * v[1]
+    m0, m1, m2, m3, _, _ = _bilinear_coeffs(u, v, cross=False)
+    e0 = uu.a / 4 + vv.a / 4 + m0 / 2
+    e1 = uu.b / 4 + m1 / 2
+    e2 = vv.b / 4 + m2 / 2
+    e3 = m3 / 2
+    return e0, e1, e2, e3, d1, d2
+
+
+def midpoint_side(p: QuadPoint, q: QuadPoint, d: Disk) -> int:
+    """Side of the midpoint of p and q, even when their radicands differ."""
+    u = vec_from(p, d.x, d.y)
+    v = vec_from(q, d.x, d.y)
+    e0, e1, e2, e3, d1, d2 = midpoint_dot_coeffs(u, v)
+    return sign_quartic(e0 - d.r * d.r, e1, e2, e3, d1, d2)

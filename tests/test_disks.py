@@ -19,11 +19,10 @@ from helly import (
     same_point,
     triple_meet,
 )
-from helly.disks import midpoint_side
 from helly.instances import gen_helly_disks, venn_triple
 from helly.oracles import GridSpec, grid_meet_oracle
 from helly.radicals import QuadPoint, quadval
-from helpers import random_family
+from helpers import midpoint_side, random_family
 
 EPS = Fraction(1, 10**9)
 
@@ -225,22 +224,41 @@ def test_empty_family_rejected():
         intersect_region([])
 
 
+def _lattice_family(rng):
+    """Integer centres in [-3, 3] and radii 1-5, so tangencies are common;
+    three families in ten repeat one disk."""
+    fam = [disk(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(3, 5))]
+    if rng.random() < 0.3:
+        fam.insert(rng.randint(0, len(fam)), rng.choice(fam))
+    return fam
+
+
+def _assert_order_independent(region, fam, rng):
+    """The region of a shuffled family is the same set: same kind, same
+    full disk, same point, same corners."""
+    perm = list(fam)
+    rng.shuffle(perm)
+    other = intersect_region(perm)
+    assert other.kind == region.kind, fam
+    if region.kind is RegionKind.FULL:
+        assert fam[region.full_index] == perm[other.full_index], fam
+    elif region.kind is RegionKind.POINT:
+        assert same_point(region.point, other.point), fam
+    elif region.kind is RegionKind.REGION:
+        a, b = region.corners(), other.corners()
+        assert len(a) == len(b), fam
+        for p in a:
+            assert any(same_point(p, q) for q in b), fam
+
+
 def test_region_invariants_on_random_families():
     rng = random.Random(2024)
-    for _ in range(150):
-        fam = random_family(rng, n=rng.randint(2, 7))
+    for i in range(750):
+        # 150 random rational families, then 600 tangency-heavy lattice ones
+        fam = random_family(rng, n=rng.randint(2, 7)) if i < 150 else _lattice_family(rng)
         region = intersect_region(fam)
         _assert_region_invariants(region, fam)
-        # permutation independence, compared by kind and mutual corners
-        perm = list(fam)
-        rng.shuffle(perm)
-        other = intersect_region(perm)
-        assert other.kind == region.kind
-        if region.kind is RegionKind.REGION:
-            a, b = region.corners(), other.corners()
-            assert len(a) == len(b)
-            for p in a:
-                assert any(same_point(p, q) for q in b)
+        _assert_order_independent(region, fam, rng)
         # one-sided grid oracle: a found point certifies nonemptiness
         xs = [d.x for d in fam]
         ys = [d.y for d in fam]
@@ -323,14 +341,11 @@ def test_check_venn_triple_with_huge_superset_disk():
 
 
 def test_check_on_tangency_heavy_lattice_families():
-    # Integer centres in [-3, 3] and radii 1-5 make tangencies and repeated
-    # disks common; each verdict is checked by means independent of clipping.
+    # Each verdict is checked by means independent of clipping.
     rng = random.Random(6000)
     grid = GridSpec(Fraction(-8), Fraction(-8), Fraction(8), Fraction(8), 16)
     for _ in range(1000):
-        fam = [disk(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(3, 5))]
-        if rng.random() < 0.3:
-            fam.insert(rng.randint(0, len(fam)), rng.choice(fam))
+        fam = _lattice_family(rng)
         verdict = minimalist_helly_check(fam)
         if isinstance(verdict, CommonPoint):
             assert all(in_disk(verdict.point, d) for d in fam), fam

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helly.cli import main
+from helly.cli import MAX_PRECISION, main
 from helly.instances import (
     dumps_disks,
     dumps_linear,
@@ -331,3 +331,23 @@ def test_cli_gen_zero_equations_keeps_unknowns(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["unknowns"] == 4
         assert doc["equations"] == []
+
+
+@pytest.mark.parametrize("bits", [-3, MAX_PRECISION + 1])
+@pytest.mark.parametrize("command", ["check", "svg"])
+def test_cli_precision_out_of_range_is_input_error(tmp_path, capsys, command, bits):
+    path = tmp_path / "venn3.json"
+    path.write_text(dumps_disks(venn_triple()))
+    out = tmp_path / "venn.svg"
+    extra = ["--out", str(out)] if command == "svg" else []
+    assert main(["disks", command, str(path), "--precision", str(bits), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --precision")
+    assert not out.exists()
+
+
+def test_cli_precision_zero_is_accepted(tmp_path, capsys):
+    path = _gen(tmp_path, "helly-disks", "h.json", "--n", "8", "--seed", "7")
+    capsys.readouterr()
+    assert main(["disks", "check", str(path), "--precision", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"]["precision_bits"] == 0

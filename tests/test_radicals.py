@@ -16,13 +16,13 @@ from helly.radicals import (
     quad_bounds,
     quadval,
     same_point,
-    sign_nested,
     sign_one,
     sign_quartic,
     sign_two,
     sqrt_bounds,
     vec_in_ccw_span,
 )
+from helpers import sign_nested
 
 getcontext().prec = 80
 

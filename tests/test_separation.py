@@ -19,8 +19,8 @@ from helly import (
     triple_meet,
 )
 from helly.disks import RegionKind
-from helly.radicals import QuadPoint, qcmp, sign_nested, vec_from
-from helpers import random_family
+from helly.radicals import QuadPoint, qcmp, vec_from, vec_in_ccw_span
+from helpers import beyond_foot_sign, random_family, sign_nested
 
 
 def _symmetric_lens(a, r):
@@ -128,8 +128,6 @@ def test_wide_corner_carriers_can_meet_query_but_triple_is_empty():
 
 
 def _assert_line_guarantees(t, g, sep):
-    from helly.radicals import beyond_foot_sign, vec_in_ccw_span
-
     nn = sep.normal[0] * sep.normal[0] + sep.normal[1] * sep.normal[1]
     # every corner of g on the closed region side: with u, v the vectors
     # from t's center to the corner and to the line point, the side test
