@@ -28,6 +28,9 @@ from .svg import render_disks
 
 DEFAULT_PRECISION = 53
 MAX_PRECISION = 4096  # widest accepted --precision, in bits
+MAX_GEN_N = 100_000  # largest gen --n, for every kind
+MAX_GEN_K = 1_000  # largest gen --k, for the linear kinds
+MAX_TRIALS = 1_000_000  # largest linear sample --trials
 
 
 def _fail(message: str) -> int:
@@ -53,6 +56,11 @@ def _check_precision(bits: int) -> None:
         raise ValueError(f"--precision must be between 0 and {MAX_PRECISION} bits, got {bits}")
 
 
+def _check_at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
 def _load(path: str, want_kind: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -64,6 +72,14 @@ def _load(path: str, want_kind: str):
     if want_kind == "disks" and isinstance(payload, LinearSystem):
         raise ValueError(f"{path} holds a linear instance, expected disks")
     return payload
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _witness_doc(witness) -> dict:
@@ -92,6 +108,7 @@ def _cmd_linear_certify(args) -> int:
 
 
 def _cmd_linear_sample(args) -> int:
+    _check_at_most("--trials", args.trials, MAX_TRIALS)
     system = _load(args.path, "linear")
     if args.size > system.n:
         raise ValueError(f"sample size {args.size} exceeds equation count {system.n}")
@@ -185,14 +202,16 @@ def _cmd_disks_svg(args) -> int:
     else:
         region = intersect_region(family)
         doc = render_disks(family, region=region)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    _write(args.out, doc)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_gen(args) -> int:
     kind = args.kind
+    _check_at_most("--n", args.n, MAX_GEN_N)
+    if kind.endswith("-linear"):
+        _check_at_most("--k", args.k, MAX_GEN_K)
     if kind == "tetrahedron":
         text = instances.dumps_linear(instances.tetrahedral_system())
     elif kind == "random-linear":
@@ -206,8 +225,7 @@ def _cmd_gen(args) -> int:
     else:  # argparse choices already reject this
         raise ValueError(f"unknown generator kind {kind!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -230,18 +230,19 @@ def _span_pieces(
     v: QuadPoint,
     a: QuadPoint,
     b: QuadPoint,
+    u_in: bool,
+    v_in: bool,
     carrier: Disk,
-    new: Disk,
 ) -> list[tuple[QuadPoint, QuadPoint]]:
     """Intersect the CCW arc [u, v] of the carrier circle with the closed
-    CCW span [a, b] of that circle inside ``new``. Returns pieces in order
-    from u; single points come back as degenerate (p, p) pairs.
+    CCW span [a, b] of that circle inside the new disk. Returns pieces in
+    order from u; single points come back as degenerate (p, p) pairs.
 
     u and v lie on the carrier circle, so each is in [a, b] exactly when
-    it lies in ``new``. As [a, b] is one interval of the circle, the two
-    endpoint tests leave four cases and at most one span test.
+    it lies in the new disk; ``u_in`` and ``v_in`` are those two tests,
+    made once per region corner by the caller. As [a, b] is one interval
+    of the circle, they leave four cases and at most one span test.
     """
-    u_in, v_in = in_disk(u, new), in_disk(v, new)
     if u_in and v_in:
         # Either the arc stays inside, or it leaves at b and comes back at a.
         if not same_point(b, v) and ccw_in_span(b, u, v, carrier.x, carrier.y):
@@ -274,7 +275,9 @@ def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
 
     pieces: list[Arc] = []
     touches: list[QuadPoint] = []
-    for arc in region.arcs:
+    # each arc ends where the next one starts, so one test per corner
+    inside = [in_disk(arc.start, new) for arc in region.arcs]
+    for i, arc in enumerate(region.arcs):
         carrier = family[arc.disk]
         rel = pair_relation(carrier, new)
         if rel.kind is PairKind.EQUAL or rel.inner == 0:
@@ -284,7 +287,8 @@ def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
             continue
         elif rel.kind is PairKind.PROPER_LENS:
             low, high = _lens_corners(carrier, new)
-            for s, e in _span_pieces(arc.start, arc.end, low, high, carrier, new):
+            u_in, v_in = inside[i], inside[(i + 1) % len(inside)]
+            for s, e in _span_pieces(arc.start, arc.end, low, high, u_in, v_in, carrier):
                 if same_point(s, e):
                     touches.append(s)
                 else:

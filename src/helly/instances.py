@@ -67,6 +67,8 @@ def parse_instance(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
     if doc.get("version") != FORMAT_VERSION:
@@ -74,7 +76,7 @@ def parse_instance(text: str):
     kind = doc.get("kind")
     if kind == "linear":
         unknowns = doc.get("unknowns")
-        if not isinstance(unknowns, int) or unknowns < 0:
+        if not isinstance(unknowns, int) or isinstance(unknowns, bool) or unknowns < 0:
             raise ValueError("'unknowns' must be a nonnegative integer")
         eqs = doc.get("equations")
         if not isinstance(eqs, list):
@@ -83,6 +85,8 @@ def parse_instance(text: str):
         for e in eqs:
             if not isinstance(e, dict) or "coeffs" not in e or "rhs" not in e:
                 raise ValueError("each equation needs 'coeffs' and 'rhs'")
+            if not isinstance(e["coeffs"], list):
+                raise ValueError("equation 'coeffs' must be a list of rationals")
             coeffs = [_parse_rat(c) for c in e["coeffs"]]
             if len(coeffs) != unknowns:
                 raise ValueError("equation coefficient count must equal 'unknowns'")

@@ -272,14 +272,6 @@ def cross_sign(u: Vec, v: Vec) -> int:
     return sign_quartic(*_bilinear_coeffs(u, v, cross=True))
 
 
-def dot_sign(u: Vec, v: Vec) -> int:
-    return sign_quartic(*_bilinear_coeffs(u, v, cross=False))
-
-
-def same_direction(u: Vec, v: Vec) -> bool:
-    return cross_sign(u, v) == 0 and dot_sign(u, v) > 0
-
-
 def vec_in_ccw_span(x: Vec, a: Vec, b: Vec) -> bool:
     """Is direction x inside the closed counterclockwise fan from a to b?
 

@@ -4,12 +4,17 @@ perpendicular separating line at the region-side closest point.
 The closest region point to a disjoint disk T is the closest point to T's
 center, and over each boundary arc the center-distance is unimodal with
 its minimum at the "foot" (the carrier-circle point in the direction of
-T's center). So the exact minimizer is found by comparing finitely many
-candidates: every region corner, plus the foot of every arc whose angular
-span contains the foot direction. All comparisons are exact sign tests;
-coordinates that need nested radicals (the matching point on T, the pair
-distance for a corner minimizer) are reported as certified dyadic
-enclosures of configurable width instead.
+T's center). So the exact minimizer is found by one scan over finitely
+many candidates, the same for every region kind: first every region
+corner (a point region is its own corner), then the foot of the full
+disk or of every arc whose angular span contains the foot direction. The
+first strict minimum wins, so a foot at an arc end, which is that corner
+exactly, loses the tie to the corner. One rule decides disjointness for
+every kind: T meets the region exactly when the region contains T's
+center or the minimum center gap is at most T's radius. All comparisons
+are exact sign tests; coordinates that need nested radicals (the
+matching point on T, the pair distance for a corner minimizer) are
+reported as certified dyadic enclosures of configurable width instead.
 
 The line through the region-side closest point, perpendicular to the
 connecting segment, always has the whole region on its closed far side
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .disks import Arc, ArcRegion, Disk, PairKind, RegionKind, disk_side, in_disk, pair_relation
+from .disks import Arc, ArcRegion, Disk, PairKind, RegionKind, disk_side, pair_relation
 from .radicals import (
     QuadPoint,
     QuadVal,
@@ -39,7 +44,6 @@ from .radicals import (
     qpoint,
     quad_bounds,
     quadval,
-    same_direction,
     sqrt_bounds,
     vec_from,
     vec_in_ccw_span,
@@ -118,64 +122,40 @@ class ClosestPairResult:
             work *= 2
 
 
-def _foot_candidate(t: Disk, carrier: Disk, arc: Arc | None):
-    """Center gap squared for the carrier-circle point facing t's center,
-    or None when that direction misses the arc's span."""
+def _corner(t: Disk, corner: QuadPoint, i: int) -> ClosestPairResult:
+    ux, uy = vec_from(corner, t.x, t.y)
+    center_gap_sq = ux * ux + uy * uy
+    gap_sq = None
+    if center_gap_sq.is_rational:
+        s = center_gap_sq.rational()
+        gap_sq = quadval(s + t.r * t.r, -2 * t.r, s)
+    return ClosestPairResult(t, corner, Corner(i), center_gap_sq, None, gap_sq)
+
+
+def _foot(t: Disk, carrier: Disk, arc: Arc | None, i: int) -> ClosestPairResult | None:
+    """The carrier-circle point facing t's center, or None when that
+    direction misses the arc's span or t's center is the carrier's."""
     wx, wy = t.x - carrier.x, t.y - carrier.y
     if wx == 0 and wy == 0:
         return None
-    w: Vec = (quadval(wx), quadval(wy))
     if arc is not None:
         a = vec_from(arc.start, carrier.x, carrier.y)
         b = vec_from(arc.end, carrier.x, carrier.y)
-        if same_direction(w, a) or same_direction(w, b):
-            return None
-        if not vec_in_ccw_span(w, a, b):
+        if not vec_in_ccw_span((quadval(wx), quadval(wy)), a, b):
             return None
     d2 = wx * wx + wy * wy
-    # |sqrt(d2) - r|^2, exact in the extension by sqrt(d2)
-    gap_sq = quadval(d2 + carrier.r * carrier.r, -2 * carrier.r, d2)
-    return gap_sq, w, d2
-
-
-def _foot_result(t: Disk, carrier: Disk, arc_index: int, w: Vec, d2: Fraction) -> dict:
-    wx, wy = w[0].rational(), w[1].rational()
     r = carrier.r
-    on_g = QuadPoint(
-        quadval(carrier.x, r * wx / d2, d2), quadval(carrier.y, r * wy / d2, d2)
-    )
+    on_g = QuadPoint(quadval(carrier.x, r * wx / d2, d2), quadval(carrier.y, r * wy / d2, d2))
     # t's center outside the carrier circle: its nearest boundary point is
     # back toward the carrier; inside: away from it.
     sign = -1 if d2 > r * r else 1
     on_t = QuadPoint(
         quadval(t.x, sign * t.r * wx / d2, d2), quadval(t.y, sign * t.r * wy / d2, d2)
     )
-    dist = quadval(-r, 1, d2) if d2 > r * r else quadval(r, -1, d2)
-    gap = dist - t.r
-    return {
-        "on_g": on_g,
-        "feature": ArcInterior(arc_index),
-        "on_t_exact": on_t,
-        "gap_sq_exact": gap * gap,
-    }
-
-
-def _corner_result(t: Disk, corner: QuadPoint, corner_index: int, gap_sq: QuadVal) -> dict:
-    gap_exact = None
-    if gap_sq.is_rational:
-        s = gap_sq.rational()
-        gap_exact = quadval(s + t.r * t.r, -2 * t.r, s)
-    return {
-        "on_g": corner,
-        "feature": Corner(corner_index),
-        "on_t_exact": None,
-        "gap_sq_exact": gap_exact,
-    }
-
-
-def _corner_gap_sq(t: Disk, corner: QuadPoint) -> QuadVal:
-    ux, uy = vec_from(corner, t.x, t.y)
-    return ux * ux + uy * uy
+    gap = quadval(sign * r, -sign, d2) - t.r  # |sqrt(d2) - r| - r_t
+    # |sqrt(d2) - r|^2, exact in the extension by sqrt(d2)
+    center_gap_sq = quadval(d2 + r * r, -2 * r, d2)
+    return ClosestPairResult(t, on_g, ArcInterior(i), center_gap_sq, on_t, gap * gap)
 
 
 def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
@@ -183,44 +163,23 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
     disjoint (checked exactly, a meeting pair raises ValueError)."""
     if g.kind is RegionKind.EMPTY:
         raise ValueError("region is empty; no closest pair exists")
-
-    if g.kind is RegionKind.POINT:
-        if in_disk(g.point, t):
-            raise ValueError("query disk meets the region")
-        gap_sq = _corner_gap_sq(t, g.point)
-        data = _corner_result(t, g.point, 0, gap_sq)
-        return ClosestPairResult(query=t, center_gap_sq=gap_sq, **data)
-
-    if g.kind is RegionKind.FULL:
-        carrier = g.family[g.full_index]
-        if pair_relation(t, carrier).kind is not PairKind.DISJOINT:
-            raise ValueError("query disk meets the region")
-        cand = _foot_candidate(t, carrier, None)
-        gap_sq, w, d2 = cand
-        data = _foot_result(t, carrier, 0, w, d2)
-        return ClosestPairResult(query=t, center_gap_sq=gap_sq, **data)
-
     if g.contains(qpoint(t.x, t.y)):
         raise ValueError("query disk meets the region")
-
-    best = None  # (gap_sq, builder)
-    for ci, corner in enumerate(g.corners()):
-        gap_sq = _corner_gap_sq(t, corner)
-        if best is None or qcmp(gap_sq, best[0]) < 0:
-            best = (gap_sq, lambda gs=gap_sq, c=corner, i=ci: _corner_result(t, c, i, gs))
-    for ai, arc in enumerate(g.arcs):
-        carrier = g.family[arc.disk]
-        cand = _foot_candidate(t, carrier, arc)
-        if cand is None:
-            continue
-        gap_sq, w, d2 = cand
-        if qcmp(gap_sq, best[0]) < 0:
-            best = (gap_sq, lambda c=carrier, i=ai, ww=w, dd=d2: _foot_result(t, c, i, ww, dd))
-
-    min_gap_sq = best[0]
-    if qcmp(min_gap_sq, quadval(t.r * t.r)) <= 0:
+    if g.kind is RegionKind.FULL:
+        feet = [(g.family[g.full_index], None)]
+    else:
+        feet = [(g.family[arc.disk], arc) for arc in g.arcs]
+    # Corners come first: a foot at an arc end is that corner exactly, so
+    # its gap ties and the strict comparison keeps the corner.
+    candidates = [_corner(t, c, i) for i, c in enumerate(g.corners())]
+    candidates += [_foot(t, carrier, arc, i) for i, (carrier, arc) in enumerate(feet)]
+    best = None
+    for cand in candidates:
+        if cand is not None and (best is None or qcmp(cand.center_gap_sq, best.center_gap_sq) < 0):
+            best = cand
+    if qcmp(best.center_gap_sq, quadval(t.r * t.r)) <= 0:
         raise ValueError("query disk meets the region")
-    return ClosestPairResult(query=t, center_gap_sq=min_gap_sq, **best[1]())
+    return best
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from helly import Disk, LinearSystem, linear_system
+from helly import Disk, LinearSystem, disk, linear_system
 from helly.radicals import (
     QuadPoint,
     QuadVal,
@@ -49,6 +49,15 @@ def random_family(rng, n=None, **kw) -> list[Disk]:
     if n is None:
         n = rng.randint(3, 10)
     return [random_disk(rng, **kw) for _ in range(n)]
+
+
+def lattice_family(rng) -> list[Disk]:
+    """Integer centres in [-3, 3] and radii 1-5, so tangencies are common;
+    three families in ten repeat one disk."""
+    fam = [disk(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(3, 5))]
+    if rng.random() < 0.3:
+        fam.insert(rng.randint(0, len(fam)), rng.choice(fam))
+    return fam
 
 
 # -- exact predicates used only by the tests ---------------------------------

@@ -22,7 +22,7 @@ from helly import (
 from helly.instances import gen_helly_disks, venn_triple
 from helly.oracles import GridSpec, grid_meet_oracle
 from helly.radicals import QuadPoint, quadval
-from helpers import midpoint_side, random_family
+from helpers import lattice_family, midpoint_side, random_family
 
 EPS = Fraction(1, 10**9)
 
@@ -224,15 +224,6 @@ def test_empty_family_rejected():
         intersect_region([])
 
 
-def _lattice_family(rng):
-    """Integer centres in [-3, 3] and radii 1-5, so tangencies are common;
-    three families in ten repeat one disk."""
-    fam = [disk(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(3, 5))]
-    if rng.random() < 0.3:
-        fam.insert(rng.randint(0, len(fam)), rng.choice(fam))
-    return fam
-
-
 def _assert_order_independent(region, fam, rng):
     """The region of a shuffled family is the same set: same kind, same
     full disk, same point, same corners."""
@@ -255,7 +246,7 @@ def test_region_invariants_on_random_families():
     rng = random.Random(2024)
     for i in range(750):
         # 150 random rational families, then 600 tangency-heavy lattice ones
-        fam = random_family(rng, n=rng.randint(2, 7)) if i < 150 else _lattice_family(rng)
+        fam = random_family(rng, n=rng.randint(2, 7)) if i < 150 else lattice_family(rng)
         region = intersect_region(fam)
         _assert_region_invariants(region, fam)
         _assert_order_independent(region, fam, rng)
@@ -345,7 +336,7 @@ def test_check_on_tangency_heavy_lattice_families():
     rng = random.Random(6000)
     grid = GridSpec(Fraction(-8), Fraction(-8), Fraction(8), Fraction(8), 16)
     for _ in range(1000):
-        fam = _lattice_family(rng)
+        fam = lattice_family(rng)
         verdict = minimalist_helly_check(fam)
         if isinstance(verdict, CommonPoint):
             assert all(in_disk(verdict.point, d) for d in fam), fam

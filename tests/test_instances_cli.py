@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helly.cli import MAX_PRECISION, main
+from helly.cli import MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_TRIALS, main
 from helly.instances import (
     dumps_disks,
     dumps_linear,
@@ -14,7 +20,7 @@ from helly.instances import (
     tetrahedral_system,
     venn_triple,
 )
-from helly.linear import LinearSystem
+from helly.linear import LinearSystem, linear_system
 
 
 # -- instance files ----------------------------------------------------------
@@ -351,3 +357,149 @@ def test_cli_precision_zero_is_accepted(tmp_path, capsys):
     capsys.readouterr()
     assert main(["disks", "check", str(path), "--precision", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["point"]["precision_bits"] == 0
+
+
+# -- faults that must end in exit 2, not a traceback --------------------------
+
+
+def test_cli_unwritable_out_is_input_error(tmp_path, capsys):
+    bad = str(tmp_path / "no-such-dir" / "x.json")
+    assert main(["gen", "helly-disks", "--n", "4", "--out", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
+    path = tmp_path / "venn3.json"
+    path.write_text(dumps_disks(venn_triple()))
+    bad_svg = str(tmp_path / "no-such-dir" / "x.svg")
+    assert main(["disks", "svg", str(path), "--out", bad_svg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad_svg}")
+
+
+def test_cli_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["linear", "certify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["equations"][0].update(coeffs=4),
+        # one unknown, so True would pass the coefficient count
+        lambda d: d.update(unknowns=True),
+    ],
+    ids=["coeffs-not-a-list", "unknowns-bool"],
+)
+def test_cli_malformed_linear_fields_are_input_errors(tmp_path, capsys, mutate):
+    doc = json.loads(dumps_linear(linear_system([[1], [2]], [1, 2])))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["linear", "certify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "helly-disks", "--n", str(MAX_GEN_N + 1)], "--n"),
+        (["gen", "random-disks", "--n", str(MAX_GEN_N + 1)], "--n"),
+        (["gen", "tetrahedron", "--n", str(MAX_GEN_N + 1)], "--n"),
+        (["gen", "random-linear", "--n", str(MAX_GEN_N + 1)], "--n"),
+        (["gen", "consistent-linear", "--k", str(MAX_GEN_K + 1)], "--k"),
+        (["gen", "random-linear", "--k", str(MAX_GEN_K + 1)], "--k"),
+    ],
+)
+def test_cli_gen_refuses_oversize_requests(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be at most")
+
+
+def test_cli_sample_refuses_too_many_trials(capsys):
+    # the cap is checked before the file is read
+    argv = ["linear", "sample", "/no/such/file.json", "--size", "2", "--trials", str(MAX_TRIALS + 1)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --trials must be at most")
+
+
+# -- mutated instance files ---------------------------------------------------
+
+_BASES = (
+    dumps_linear(tetrahedral_system()),
+    dumps_disks(venn_triple()),
+    dumps_disks(gen_helly_disks(4, 3)),
+)
+
+def _small_value(rng, depth=0):
+    """A small JSON value: a scalar, or a short list or dict of them."""
+    kind = rng.randrange(7 if depth < 2 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.randint(-3, 3)
+    if kind == 3:
+        return rng.uniform(-4, 4)
+    if kind == 4:
+        return rng.choice(["", "1", "linear", "disks"])
+    if kind == 5:
+        return [_small_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(["center", "radius", "coeffs", "rhs"]): _small_value(rng, depth + 1)}
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated_file(rng) -> str:
+    """One base file with one to three values replaced or deleted at
+    random paths; one file in ten is also truncated."""
+    doc = json.loads(rng.choice(_BASES))
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.5:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _small_value(rng)
+    text = json.dumps(doc, indent=2)
+    if rng.random() < 0.1:
+        text = text[: rng.randint(0, len(text))]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_cli_survives_mutated_instance_files(rng):
+    text = _mutated_file(rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(text)
+        svg = str(Path(tmp) / "m.svg")
+        commands = [
+            ["linear", "certify", str(path)],
+            ["linear", "sample", str(path), "--size", "2", "--trials", "3"],
+            ["disks", "check", str(path)],
+            ["disks", "svg", str(path), "--out", svg],
+            ["disks", "svg", str(path), "--out", svg, "--query", "0"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from helly.radicals import (
     QuadPoint,
+    _bilinear_coeffs,
     ccw_in_span,
     cross_sign,
-    dot_sign,
     point_lex_cmp,
     qcmp,
     qpoint,
@@ -170,7 +170,7 @@ def test_cross_and_dot_signs_mixed_radicands():
     v = (quadval(0, 1, 3), quadval(-1))  # (sqrt3, -1)
     # cross = sqrt2*(-1) - 1*sqrt3 < 0 ; dot = sqrt6 - 1 > 0
     assert cross_sign(u, v) < 0
-    assert dot_sign(u, v) > 0
+    assert sign_quartic(*_bilinear_coeffs(u, v, cross=False)) > 0
 
 
 def test_sqrt_bounds_contains_and_tight():

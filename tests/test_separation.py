@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from helly import (
     PairKind,
     closest_pair,
     disk,
+    in_disk,
     intersect_region,
     pair_relation,
     qpoint,
@@ -20,7 +22,7 @@ from helly import (
 )
 from helly.disks import RegionKind
 from helly.radicals import QuadPoint, qcmp, vec_from, vec_in_ccw_span
-from helpers import beyond_foot_sign, random_family, sign_nested
+from helpers import beyond_foot_sign, lattice_family, random_family, sign_nested
 
 
 def _symmetric_lens(a, r):
@@ -69,6 +71,20 @@ def test_arc_interior_golden_above():
     sep = separating_line(t, g)
     assert sep.carriers == (0,)
     assert sep.separated == (0,)
+
+
+def test_foot_at_arc_end_loses_the_tie_to_the_corner():
+    # disk 0's foot toward (6, 7) is exactly the corner (3/4, 0): the two
+    # candidates tie and the corner, scanned first, is kept
+    g = _symmetric_lens(1, Fraction(5, 4))
+    t = disk(6, 7, 1)
+    res = closest_pair(t, g)
+    assert res.feature == Corner(0)
+    assert same_point(res.on_g, qpoint(Fraction(3, 4), 0))
+    assert res.gap_sq_exact.rational() == Fraction(961, 16)
+    sep = separating_line(t, g)
+    assert sep.carriers == (0, 1)
+    assert sep.separated == (0, 1)
 
 
 def test_single_point_region():
@@ -194,6 +210,73 @@ def test_closest_pair_minimum_beats_all_corners():
         for c in g.corners():
             ux, uy = vec_from(c, t.x, t.y)
             assert qcmp(res.center_gap_sq, ux * ux + uy * uy) <= 0
+    # Every region kind on tangency-heavy lattice families: the minimum is
+    # attained at a region point and beats every corner and every sampled
+    # rational point of the region's carrier circles.
+    rng = random.Random(5150)
+    seen = Counter()
+    while min(seen[k] for k in (RegionKind.FULL, RegionKind.POINT, RegionKind.REGION)) < 15:
+        fam = lattice_family(rng)
+        g = intersect_region(fam[: rng.randint(1, len(fam))])
+        if g.is_empty or seen[g.kind] >= 15:
+            continue
+        t = disk(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 3))
+        try:
+            res = closest_pair(t, g)
+        except ValueError:
+            continue
+        seen[g.kind] += 1
+        assert g.contains(res.on_g)
+        assert qcmp(res.center_gap_sq, _center_gap_sq(t, res.on_g)) == 0
+        for p in _sample_points(g):
+            assert qcmp(res.center_gap_sq, _center_gap_sq(t, p)) <= 0, (fam, t)
+
+
+def _center_gap_sq(t, p):
+    ux, uy = vec_from(p, t.x, t.y)
+    return ux * ux + uy * uy
+
+
+def _sample_points(g):
+    """The corners of g, plus the rational points of its carrier circles
+    at half-angle tangents k/2 that lie in g."""
+    points = list(g.corners())
+    for d in g.family:
+        for k in range(-4, 5):
+            s = Fraction(k, 2)
+            cos, sin = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+            for sign in (1, -1):
+                p = qpoint(d.x + sign * d.r * cos, d.y + sign * d.r * sin)
+                if g.contains(p):
+                    points.append(p)
+    return points
+
+
+def test_one_disjointness_rule_matches_the_pair_predicates():
+    # A full disk raises exactly when the exact pair predicate says it
+    # meets the query; a point region exactly when the query contains it.
+    rng = random.Random(7007)
+    seen = Counter()
+    while len(seen) < 4 or min(seen.values()) < 25:
+        fam = lattice_family(rng)[: rng.randint(1, 2)]
+        g = intersect_region(fam)
+        if g.kind not in (RegionKind.FULL, RegionKind.POINT):
+            continue
+        if min(seen[g.kind, False], seen[g.kind, True]) >= 25:
+            continue  # this kind is covered; keep drawing for the other
+        for _ in range(4):
+            t = disk(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 4))
+            try:
+                closest_pair(t, g)
+                raised = False
+            except ValueError:
+                raised = True
+            if g.kind is RegionKind.FULL:
+                meets = pair_relation(t, g.family[g.full_index]).kind is not PairKind.DISJOINT
+            else:
+                meets = in_disk(g.point, t)
+            assert raised == meets, (fam, t)
+            seen[g.kind, raised] += 1
 
 
 def test_on_t_enclosure_tightens():
