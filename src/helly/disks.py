@@ -45,10 +45,6 @@ class Disk:
         if self.r <= 0:
             raise ValueError("radius must be strictly positive")
 
-    @property
-    def center(self) -> tuple[Rat, Rat]:
-        return (self.x, self.y)
-
 
 def disk(x, y, r) -> Disk:
     return Disk(Fraction(x), Fraction(y), Fraction(r))
@@ -263,7 +259,9 @@ def _disk_within(inner: Disk, outer: Disk) -> bool:
     return rel.kind is PairKind.EQUAL or rel.inner == 0
 
 
-def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
+def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
+    """Intersect ``region`` with ``region.family[new_index]``. A proper
+    region is the intersection of its carrier disks; no other disk is read."""
     family = region.family
     new = family[new_index]
     if region.kind is RegionKind.EMPTY:
@@ -307,7 +305,7 @@ def _clip(region: ArcRegion, new_index: int, seen: Sequence[int]) -> ArcRegion:
     if not pieces:
         # Containment first: a new disk inside the region can also touch
         # its boundary from inside, and is then the whole intersection.
-        if all(_disk_within(new, family[j]) for j in seen):
+        if all(_disk_within(new, family[arc.disk]) for arc in region.arcs):
             return ArcRegion.full_disk(new_index, family)
         if touches:
             first = touches[0]
@@ -346,10 +344,8 @@ def intersect_region(family: Sequence[Disk]) -> ArcRegion:
         first.setdefault(d, i)
     keep = list(first.values())
     region = ArcRegion.full_disk(keep[0], disks)
-    seen = [keep[0]]
     for idx in keep[1:]:
-        region = _clip(region, idx, seen)
-        seen.append(idx)
+        region = _clip(region, idx)
         if region.is_empty:
             break
     return region

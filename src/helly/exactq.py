@@ -73,16 +73,6 @@ class RatMatrix:
         ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return RatMatrix(self.cols, self.rows, ents)
 
-    def with_column(self, col: Sequence[Rat]) -> "RatMatrix":
-        """Augment with one extra right-hand column."""
-        if len(col) != self.rows:
-            raise ValueError("column length must equal row count")
-        ents: list[Rat] = []
-        for i in range(self.rows):
-            ents.extend(self.row(i))
-            ents.append(Fraction(col[i]))
-        return RatMatrix(self.rows, self.cols + 1, tuple(ents))
-
 
 def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of ``rows``, pivoting only within the
@@ -172,11 +162,9 @@ class AffineSolutionSet:
         """Exact membership: point - witness must lie in the basis span."""
         if len(point) != len(self.point):
             raise ValueError("dimension mismatch")
-        delta = [Fraction(p) - q for p, q in zip(point, self.point)]
-        if not self.basis:
-            return all(x == 0 for x in delta)
-        cols = RatMatrix.from_rows([list(vec) for vec in self.basis]).transpose()
-        return rank(cols) == rank(cols.with_column(delta))
+        delta = tuple(Fraction(p) - q for p, q in zip(point, self.point))
+        span = rank(RatMatrix.from_rows(self.basis))
+        return span == rank(RatMatrix.from_rows(self.basis + (delta,)))
 
 
 def solve_affine(m: RatMatrix, rhs: Sequence[Rat]) -> AffineSolutionSet | None:

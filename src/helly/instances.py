@@ -71,8 +71,9 @@ def parse_instance(text: str):
         raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
+        raise ValueError(f"unsupported format version {version!r}")
     kind = doc.get("kind")
     if kind == "linear":
         unknowns = doc.get("unknowns")

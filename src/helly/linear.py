@@ -181,16 +181,13 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     degenerate equation ``0 = c`` with ``c != 0`` is itself a size-1
     certificate; ``0 = 0`` rows are inert and never appear in one.
     """
-    for i, eq in enumerate(system.equations):
-        if classify(eq) is EquationClass.DEGENERATE_INCONSISTENT:
-            return Inconsistent((i,))
     witness = check_subsystem(system, range(system.n))
     if witness is not None:
         if not witness_satisfies(system, witness):
             raise InvariantViolation("computed witness fails to satisfy the system")
         return Consistent(witness)
     bound = min(system.unknowns + 1, system.n)
-    for size in range(2, bound + 1):
+    for size in range(1, bound + 1):
         idx = all_subsystems_consistent(system, size)
         if idx is not None:
             return Inconsistent(idx)

@@ -9,9 +9,10 @@ most two distinct radicals,
     e0 + e1*sqrt(d1) + e2*sqrt(d2) + e3*sqrt(d1*d2),
 
 and such signs are decidable exactly by comparing squares with careful
-sign bookkeeping. No epsilon appears anywhere in this module. Floats
-never appear either; the dyadic helpers at the bottom emit certified
-[lo, hi] rational enclosures for display, which no predicate consumes.
+sign bookkeeping: ``sign_one`` for one radical, ``sign_quartic`` for the
+full form. No epsilon appears anywhere in this module. Floats never
+appear either; the dyadic helpers at the bottom emit certified [lo, hi]
+rational enclosures for display, which no predicate consumes.
 """
 
 from __future__ import annotations
@@ -133,34 +134,6 @@ def sign_one(a: Fraction, b: Fraction, d) -> int:
     return 0
 
 
-def sign_two(c0: Fraction, c1: Fraction, d1, c2: Fraction, d2) -> int:
-    """Sign of ``c0 + c1*sqrt(d1) + c2*sqrt(d2)``."""
-    if c1 == 0 or d1 == 0:
-        return sign_one(c0, c2, d2)
-    if c2 == 0 or d2 == 0:
-        return sign_one(c0, c1, d1)
-    s1, s2 = sign_of(c1), sign_of(c2)
-    if s1 == s2:
-        s_l = s1
-    else:
-        m = sign_of(c1 * c1 * d1 - c2 * c2 * d2)
-        s_l = s1 if m > 0 else (s2 if m < 0 else 0)
-    if s_l == 0:
-        return sign_of(c0)
-    s0 = sign_of(c0)
-    if s0 == 0:
-        return s_l
-    if s0 == s_l:
-        return s0
-    # |c0| versus |c1*sqrt(d1) + c2*sqrt(d2)|: square both sides once.
-    m = sign_one(c0 * c0 - c1 * c1 * d1 - c2 * c2 * d2, -2 * c1 * c2, Fraction(d1) * Fraction(d2))
-    if m > 0:
-        return s0
-    if m < 0:
-        return s_l
-    return 0
-
-
 def sign_quartic(e0: Fraction, e1: Fraction, e2: Fraction, e3: Fraction, d1, d2) -> int:
     """Sign of ``e0 + e1*sqrt(d1) + e2*sqrt(d2) + e3*sqrt(d1*d2)``.
 
@@ -193,7 +166,9 @@ def sign_quartic(e0: Fraction, e1: Fraction, e2: Fraction, e3: Fraction, d1, d2)
 
 def qcmp(x: QuadVal, y: QuadVal) -> int:
     """Exact comparison of two values, radicands may differ."""
-    return sign_two(x.a - y.a, x.b, x.d, -y.b, y.d)
+    if x.d == y.d:  # one radical left in the difference
+        return sign_one(x.a - y.a, x.b - y.b, x.d)
+    return sign_quartic(x.a - y.a, x.b, -y.b, 0, x.d, y.d)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +185,6 @@ class QuadPoint:
     def __post_init__(self) -> None:
         if self.x.d != 0 and self.y.d != 0 and self.x.d != self.y.d:
             raise ValueError("coordinates must share one radicand")
-
-    @property
-    def d(self) -> int:
-        return self.x.d or self.y.d
-
-    @property
-    def is_rational(self) -> bool:
-        return self.d == 0
 
 
 def qpoint(x, y) -> QuadPoint:
@@ -248,24 +215,22 @@ def _vec_radicand(v: Vec) -> int:
 
 def _bilinear_coeffs(u: Vec, v: Vec, cross: bool):
     """Quartic-form coefficients of u x v (cross) or u . v (dot)."""
-    d1 = _vec_radicand(u)
-    d2 = _vec_radicand(v)
-    e0 = e1 = e2 = e3 = Fraction(0)
-
-    def acc(p: QuadVal, q: QuadVal, sign: int) -> None:
-        nonlocal e0, e1, e2, e3
-        e0 += sign * p.a * q.a
-        e1 += sign * p.b * q.a
-        e2 += sign * p.a * q.b
-        e3 += sign * p.b * q.b
-
+    (ux, uy), (vx, vy) = u, v
     if cross:
-        acc(u[0], v[1], 1)
-        acc(u[1], v[0], -1)
+        e = (
+            ux.a * vy.a - uy.a * vx.a,
+            ux.b * vy.a - uy.b * vx.a,
+            ux.a * vy.b - uy.a * vx.b,
+            ux.b * vy.b - uy.b * vx.b,
+        )
     else:
-        acc(u[0], v[0], 1)
-        acc(u[1], v[1], 1)
-    return e0, e1, e2, e3, d1, d2
+        e = (
+            ux.a * vx.a + uy.a * vy.a,
+            ux.b * vx.a + uy.b * vy.a,
+            ux.a * vx.b + uy.a * vy.b,
+            ux.b * vx.b + uy.b * vy.b,
+        )
+    return (*e, _vec_radicand(u), _vec_radicand(v))
 
 
 def cross_sign(u: Vec, v: Vec) -> int:

@@ -107,6 +107,8 @@ def test_solve_underdetermined_has_nullspace():
     assert sol.point == (6, 0, 0)
     for vec in sol.basis:
         assert sum(vec) == 0
+    # (1, 1, 1) is normal to the plane, so outside the basis span
+    assert not sol.contains((7, 1, 1))
 
 
 def test_solution_residuals_are_exactly_zero():
@@ -124,6 +126,10 @@ def test_solution_residuals_are_exactly_zero():
             for row, b in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(row, pt)) == b
         assert sol.contains(x0)
+        # a nonzero coefficient row is orthogonal to the basis, so not in its span
+        for row in rows:
+            if any(row):
+                assert not sol.contains([p + a for p, a in zip(sol.point, row)])
 
 
 def test_solve_rhs_length_checked():

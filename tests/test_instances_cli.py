@@ -74,6 +74,19 @@ def test_parse_rejects_malformed_documents(mutate):
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_one(tmp_path, capsys, version):
+    # True == 1.0 == 1 in Python, so equality alone would accept these
+    doc = json.loads(dumps_disks(venn_triple()))
+    doc["version"] = version
+    with pytest.raises(ValueError, match="unsupported format version"):
+        parse_instance(json.dumps(doc))
+    path = tmp_path / "versioned.json"
+    path.write_text(json.dumps(doc))
+    assert main(["disks", "check", str(path)]) == 2
+    assert f"error: unsupported format version {version!r}" in capsys.readouterr().err
+
+
 def test_parse_rejects_zero_denominator():
     doc = {
         "version": 1,

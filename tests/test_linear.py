@@ -88,6 +88,12 @@ def test_certify_degenerate_short_circuit():
     assert cert.subsystem == (0,)
 
 
+def test_certify_degenerate_row_after_a_pair_certificate():
+    # rows 0 and 1 already clash, but the 0 = 2 row alone is smaller
+    s = linear_system([[1, 1], [1, 1], [0, 0]], [0, 1, 2])
+    assert helly_certify(s) == Inconsistent((2,))
+
+
 def test_certify_consistent_hundred_contains_planted_point():
     rng = random.Random(7)
     planted = (1, 2, 3)

@@ -18,7 +18,6 @@ from helly.radicals import (
     same_point,
     sign_one,
     sign_quartic,
-    sign_two,
     sqrt_bounds,
     vec_in_ccw_span,
 )
@@ -56,10 +55,12 @@ def test_sign_one_matches_high_precision_numeric(a, b, d):
         assert got == 0
 
 
-@given(rationals, rationals, radicands, rationals, radicands)
+@given(rationals, rationals, radicands, rationals, radicands, st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_sign_two_matches_high_precision_numeric(c0, c1, d1, c2, d2):
-    got = sign_two(c0, c1, d1, c2, d2)
+def test_qcmp_matches_high_precision_numeric(c0, c1, d1, c2, d2, shared):
+    if shared:
+        d2 = d1  # the one-radical branch
+    got = qcmp(quadval(c0, c1, d1), quadval(0, -c2, d2))
     approx = _num(c0, c1, d1, c2, d2)
     if abs(approx) > Decimal("1e-40"):
         assert got == (approx > 0) - (approx < 0)
@@ -80,7 +81,7 @@ def test_sign_quartic_matches_high_precision_numeric(e0, e1, e2, e3, d1, d2):
 
 def test_sign_constructed_zeros():
     # sqrt(8) - 2*sqrt(2) == 0
-    assert sign_two(Fraction(0), Fraction(1), 8, Fraction(-2), 2) == 0
+    assert qcmp(quadval(0, 1, 8), quadval(0, 2, 2)) == 0
     # 3 - sqrt(9) == 0
     assert sign_one(Fraction(3), Fraction(-1), 9) == 0
     # sqrt(2)*sqrt(3) - sqrt(6) == 0
