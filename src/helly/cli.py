@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import instances
 from .instances import _rat_pair
@@ -67,8 +68,10 @@ def _load(path: str, want_kind: str):
             payload = instances.parse_instance(fh.read())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
-    if want_kind == "linear" and not isinstance(payload, LinearSystem):
-        raise ValueError(f"{path} holds a disks instance, expected linear")
+    if want_kind == "linear":
+        if not isinstance(payload, LinearSystem):
+            raise ValueError(f"{path} holds a disks instance, expected linear")
+        _check_at_most("'unknowns'", payload.unknowns, MAX_GEN_K)
     if want_kind == "disks" and isinstance(payload, LinearSystem):
         raise ValueError(f"{path} holds a linear instance, expected disks")
     return payload
@@ -110,8 +113,6 @@ def _cmd_linear_certify(args) -> int:
 def _cmd_linear_sample(args) -> int:
     _check_at_most("--trials", args.trials, MAX_TRIALS)
     system = _load(args.path, "linear")
-    if args.size > system.n:
-        raise ValueError(f"sample size {args.size} exceeds equation count {system.n}")
     report = sample_consistency(system, args.size, args.trials, args.seed)
     if args.format == "json":
         print(
@@ -145,11 +146,15 @@ def _enclosure_doc(point, bits: int) -> dict:
     }
 
 
+def _decimal6(v: Fraction) -> str:
+    """``v`` rounded half-even to six decimals, exactly, with no float."""
+    q, r = divmod(round(abs(v) * 10**6), 10**6)
+    return f"{'-' if v < 0 else ''}{q}.{r:06d}"
+
+
 def _cmd_disks_check(args) -> int:
     _check_precision(args.precision)
     family = _load(args.path, "disks")
-    if len(family) < 3:
-        raise ValueError("disk check requires at least three disks")
     verdict = minimalist_helly_check(family)
     if isinstance(verdict, CommonPoint):
         if args.format == "json":
@@ -159,8 +164,8 @@ def _cmd_disks_check(args) -> int:
                 )
             )
         else:
-            fx, fy = point_float(verdict.point)
-            print(f"common point exists; certified near ({fx:.6f}, {fy:.6f})")
+            fx, fy = (_decimal6((lo + hi) / 2) for lo, hi in point_bounds(verdict.point, 60))
+            print(f"common point exists; certified near ({fx}, {fy})")
         return 0
     if args.format == "json":
         print(json.dumps({"verdict": "violating-triple", "triple": list(verdict.indices)}))
@@ -172,8 +177,18 @@ def _cmd_disks_check(args) -> int:
 def _cmd_disks_svg(args) -> int:
     _check_precision(args.precision)
     family = _load(args.path, "disks")
-    segment = line = None
-    query = args.query
+    try:
+        doc = _svg_doc(family, args.query, args.precision)
+    except OverflowError:
+        raise ValueError(f"{args.path}: coordinates too large to draw")
+    _write(args.out, doc)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def _svg_doc(family, query: int | None, precision: int) -> str:
+    """The SVG of ``family``; with ``query``, also the closest pair and
+    separating line between that disk and the others' intersection."""
     if query is not None:
         if query < 0 or query >= len(family):
             raise ValueError(f"query index {query} out of range")
@@ -188,7 +203,7 @@ def _cmd_disks_svg(args) -> int:
         except ValueError as exc:
             raise ValueError(f"query disk is not disjoint from the region: {exc}")
         on_g = point_float(sep.point)
-        (tx_lo, tx_hi), (ty_lo, ty_hi) = sep.closest.on_t(args.precision)
+        (tx_lo, tx_hi), (ty_lo, ty_hi) = sep.closest.on_t(precision)
         on_t = (float((tx_lo + tx_hi) / 2), float((ty_lo + ty_hi) / 2))
         segment = (on_t, on_g)
         nx, ny = quad_float(sep.normal[0]), quad_float(sep.normal[1])
@@ -198,13 +213,8 @@ def _cmd_disks_svg(args) -> int:
         dx, dy = -ny / norm * span, nx / norm * span
         line = ((on_g[0] - dx, on_g[1] - dy), (on_g[0] + dx, on_g[1] + dy))
         # region arcs index into `rest`, which is a prefix of the drawn family
-        doc = render_disks(rest + [family[query]], region=region, query=len(rest), segment=segment, line=line)
-    else:
-        region = intersect_region(family)
-        doc = render_disks(family, region=region)
-    _write(args.out, doc)
-    print(f"wrote {args.out}")
-    return 0
+        return render_disks(rest + [family[query]], region=region, query=len(rest), segment=segment, line=line)
+    return render_disks(family, region=intersect_region(family))
 
 
 def _cmd_gen(args) -> int:

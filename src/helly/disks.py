@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -86,14 +87,9 @@ def pair_relation(a: Disk, b: Disk) -> PairRelation:
     if d2 == rdiff * rdiff:
         if d2 == 0:
             return PairRelation(PairKind.EQUAL)
-        inner = 0 if a.r < b.r else 1
-        if a.r > b.r:
-            t = a.r / (a.r - b.r)
-            pt = (a.x + t * dx, a.y + t * dy)
-        else:
-            t = b.r / (b.r - a.r)
-            pt = (b.x - t * dx, b.y - t * dy)
-        return PairRelation(PairKind.INTERNAL_TANGENCY, point=pt, inner=inner)
+        t = a.r / rdiff
+        pt = (a.x + t * dx, a.y + t * dy)
+        return PairRelation(PairKind.INTERNAL_TANGENCY, point=pt, inner=0 if a.r < b.r else 1)
     return PairRelation(PairKind.PROPER_CONTAINMENT, inner=0 if a.r < b.r else 1)
 
 
@@ -151,22 +147,6 @@ class ArcRegion:
     full_index: int | None = None
     arcs: tuple[Arc, ...] = ()
 
-    @staticmethod
-    def empty(family: Sequence[Disk]) -> "ArcRegion":
-        return ArcRegion(tuple(family), RegionKind.EMPTY)
-
-    @staticmethod
-    def single_point(p: QuadPoint, family: Sequence[Disk]) -> "ArcRegion":
-        return ArcRegion(tuple(family), RegionKind.POINT, point=p)
-
-    @staticmethod
-    def full_disk(i: int, family: Sequence[Disk]) -> "ArcRegion":
-        return ArcRegion(tuple(family), RegionKind.FULL, full_index=i)
-
-    @staticmethod
-    def from_arcs(arcs: Sequence[Arc], family: Sequence[Disk]) -> "ArcRegion":
-        return ArcRegion(tuple(family), RegionKind.REGION, arcs=tuple(arcs))
-
     @property
     def is_empty(self) -> bool:
         return self.kind is RegionKind.EMPTY
@@ -186,16 +166,10 @@ class ArcRegion:
         proper region, the center for a full disk)."""
         if self.kind is RegionKind.EMPTY:
             return None
-        if self.kind is RegionKind.POINT:
-            return self.point
         if self.kind is RegionKind.FULL:
             d = self.family[self.full_index]
             return qpoint(d.x, d.y)
-        best = self.arcs[0].start
-        for arc in self.arcs[1:]:
-            if point_lex_cmp(arc.start, best) < 0:
-                best = arc.start
-        return best
+        return min(self.corners(), key=cmp_to_key(point_lex_cmp))
 
 
 def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
@@ -203,13 +177,13 @@ def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
     a, b = family[i], family[j]
     rel = pair_relation(a, b)
     if rel.kind is PairKind.DISJOINT:
-        return ArcRegion.empty(family)
+        return ArcRegion(family, RegionKind.EMPTY)
     if rel.kind is PairKind.EXTERNAL_OSCULATION:
-        return ArcRegion.single_point(qpoint(*rel.point), family)
+        return ArcRegion(family, RegionKind.POINT, point=qpoint(*rel.point))
     if rel.kind is PairKind.PROPER_LENS:
         low, high = _lens_corners(a, b)
-        return ArcRegion.from_arcs((Arc(i, low, high), Arc(j, high, low)), family)
-    return ArcRegion.full_disk(j if rel.inner == 1 else i, family)
+        return ArcRegion(family, RegionKind.REGION, arcs=(Arc(i, low, high), Arc(j, high, low)))
+    return ArcRegion(family, RegionKind.FULL, full_index=j if rel.inner == 1 else i)
 
 
 def pair_lens(a: Disk, b: Disk) -> ArcRegion:
@@ -253,12 +227,6 @@ def _span_pieces(
     return []
 
 
-def _disk_within(inner: Disk, outer: Disk) -> bool:
-    """Closed containment of one disk in another, exact."""
-    rel = pair_relation(inner, outer)
-    return rel.kind is PairKind.EQUAL or rel.inner == 0
-
-
 def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
     """Intersect ``region`` with ``region.family[new_index]``. A proper
     region is the intersection of its carrier disks; no other disk is read."""
@@ -267,7 +235,7 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
     if region.kind is RegionKind.EMPTY:
         return region
     if region.kind is RegionKind.POINT:
-        return region if in_disk(region.point, new) else ArcRegion.empty(family)
+        return region if in_disk(region.point, new) else ArcRegion(family, RegionKind.EMPTY)
     if region.kind is RegionKind.FULL:
         return _pair_region(region.full_index, new_index, family)
 
@@ -275,9 +243,9 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
     touches: list[QuadPoint] = []
     # each arc ends where the next one starts, so one test per corner
     inside = [in_disk(arc.start, new) for arc in region.arcs]
-    for i, arc in enumerate(region.arcs):
+    rels = [pair_relation(family[arc.disk], new) for arc in region.arcs]
+    for i, (arc, rel) in enumerate(zip(region.arcs, rels)):
         carrier = family[arc.disk]
-        rel = pair_relation(carrier, new)
         if rel.kind is PairKind.EQUAL or rel.inner == 0:
             # the carrier circle lies in the new disk
             pieces.append(arc)
@@ -295,25 +263,22 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
             # external osculation, or the new disk inside the carrier
             # touching it: one shared point
             p = qpoint(*rel.point)
-            if (
-                same_point(p, arc.start)
-                or same_point(p, arc.end)
-                or ccw_in_span(p, arc.start, arc.end, carrier.x, carrier.y)
-            ):
+            if ccw_in_span(p, arc.start, arc.end, carrier.x, carrier.y):
                 touches.append(p)
 
     if not pieces:
-        # Containment first: a new disk inside the region can also touch
-        # its boundary from inside, and is then the whole intersection.
-        if all(_disk_within(new, family[arc.disk]) for arc in region.arcs):
-            return ArcRegion.full_disk(new_index, family)
+        # Containment first: a new disk inside every carrier lies inside
+        # the region, may touch its boundary from inside, and is then the
+        # whole intersection.
+        if all(rel.inner == 1 for rel in rels):
+            return ArcRegion(family, RegionKind.FULL, full_index=new_index)
         if touches:
             first = touches[0]
             for other in touches[1:]:
                 if not same_point(first, other):
                     raise InvariantViolation("disconnected touch points in a convex clip")
-            return ArcRegion.single_point(first, family)
-        return ArcRegion.empty(family)
+            return ArcRegion(family, RegionKind.POINT, point=first)
+        return ArcRegion(family, RegionKind.EMPTY)
 
     # Touch points beside surviving pieces are already members of the new
     # region: either a piece endpoint or an interior point of a bridge arc
@@ -326,7 +291,7 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
         nxt = pieces[(i + 1) % count]
         if not same_point(piece.end, nxt.start):
             out.append(Arc(new_index, piece.end, nxt.start))
-    return ArcRegion.from_arcs(out, family)
+    return ArcRegion(family, RegionKind.REGION, arcs=tuple(out))
 
 
 def intersect_region(family: Sequence[Disk]) -> ArcRegion:
@@ -343,7 +308,7 @@ def intersect_region(family: Sequence[Disk]) -> ArcRegion:
     for i, d in enumerate(disks):
         first.setdefault(d, i)
     keep = list(first.values())
-    region = ArcRegion.full_disk(keep[0], disks)
+    region = ArcRegion(disks, RegionKind.FULL, full_index=keep[0])
     for idx in keep[1:]:
         region = _clip(region, idx)
         if region.is_empty:

@@ -150,29 +150,30 @@ def _check_size(n: int, k: int | None = None) -> None:
         raise ValueError(f"unknown count k must be at least 1, got {k}")
 
 
-def gen_random_linear(n: int, k: int, seed: int, lo: int = -5, hi: int = 5) -> LinearSystem:
-    """Random nondegenerate equations with integer data in [lo, hi]."""
+def _nonzero_row(rng: random.Random, k: int) -> list[int]:
+    """Integer coefficients in [-5, 5], redrawn until one is nonzero."""
+    while True:
+        row = [rng.randint(-5, 5) for _ in range(k)]
+        if any(row):
+            return row
+
+
+def gen_random_linear(n: int, k: int, seed: int) -> LinearSystem:
+    """Random nondegenerate equations with integer data in [-5, 5]."""
     _check_size(n, k)
     rng = random.Random(seed)
-    eqs = []
-    for _ in range(n):
-        row = [rng.randint(lo, hi) for _ in range(k)]
-        while all(c == 0 for c in row):
-            row = [rng.randint(lo, hi) for _ in range(k)]
-        eqs.append(equation(row, rng.randint(lo, hi)))
+    eqs = [equation(_nonzero_row(rng, k), rng.randint(-5, 5)) for _ in range(n)]
     return LinearSystem(k, tuple(eqs))
 
 
-def gen_consistent_linear(n: int, k: int, seed: int, lo: int = -5, hi: int = 5) -> LinearSystem:
+def gen_consistent_linear(n: int, k: int, seed: int) -> LinearSystem:
     """Random nondegenerate system with a planted integer solution."""
     _check_size(n, k)
     rng = random.Random(seed)
     solution = [rng.randint(-3, 3) for _ in range(k)]
     eqs = []
     for _ in range(n):
-        row = [rng.randint(lo, hi) for _ in range(k)]
-        while all(c == 0 for c in row):
-            row = [rng.randint(lo, hi) for _ in range(k)]
+        row = _nonzero_row(rng, k)
         eqs.append(equation(row, sum(c * x for c, x in zip(row, solution))))
     return LinearSystem(k, tuple(eqs))
 

@@ -74,17 +74,6 @@ class LinearSystem:
     def n(self) -> int:
         return len(self.equations)
 
-    def matrix(self, indices: Sequence[int] | None = None) -> RatMatrix:
-        idx = list(range(self.n)) if indices is None else list(indices)
-        entries: list[Rat] = []
-        for i in idx:
-            entries.extend(self.equations[i].coeffs)
-        return RatMatrix(len(idx), self.unknowns, tuple(entries))
-
-    def rhs_vector(self, indices: Sequence[int] | None = None) -> tuple[Rat, ...]:
-        idx = range(self.n) if indices is None else indices
-        return tuple(self.equations[i].rhs for i in idx)
-
     def satisfied_by(self, point: Sequence[Rat | int]) -> bool:
         if len(point) != self.unknowns:
             raise ValueError("dimension mismatch")
@@ -103,11 +92,9 @@ def linear_system(rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int])
 
 def witness_satisfies(system: LinearSystem, witness: AffineSolutionSet) -> bool:
     """Every element of the witness set must solve every equation exactly."""
-    if witness.unknowns != system.unknowns:
+    if witness.unknowns != system.unknowns or not system.satisfied_by(witness.point):
         return False
     for eq in system.equations:
-        if sum(c * x for c, x in zip(eq.coeffs, witness.point)) != eq.rhs:
-            return False
         for vec in witness.basis:
             if sum(c * x for c, x in zip(eq.coeffs, vec)) != 0:
                 return False
@@ -140,8 +127,9 @@ def check_subsystem(system: LinearSystem, indices: Iterable[int]) -> AffineSolut
     subsystem is consistent, ``None`` when it is not. The empty selection
     is consistent with the whole space as witness.
     """
-    idx = _validated_indices(system, indices)
-    return solve_affine(system.matrix(idx), system.rhs_vector(idx))
+    eqs = [system.equations[i] for i in _validated_indices(system, indices)]
+    m = RatMatrix(len(eqs), system.unknowns, tuple(c for eq in eqs for c in eq.coeffs))
+    return solve_affine(m, tuple(eq.rhs for eq in eqs))
 
 
 def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...] | None:

@@ -2,8 +2,9 @@
 
 Nothing here shares an elimination routine or a membership test with the
 production modules; a correlated bug would defeat the point of checking
-one against the other. Everything is plain rational elimination and
-exhaustive scans, gated to desk-scale sizes.
+one against the other. One plain forward rational elimination serves
+both the rank and the consistency oracle; the rest is exhaustive scans,
+gated to desk-scale sizes.
 """
 
 from __future__ import annotations
@@ -18,42 +19,11 @@ from .exactq import RatMatrix
 from .linear import LinearSystem
 
 
-def naive_rank(m: RatMatrix) -> int:
-    """Rank by straightforward rational Gauss-Jordan, no fraction-free tricks."""
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+def _forward(rows: list[list[Fraction]], ncols: int) -> int:
+    """Forward rational elimination in place on the first ``ncols``
+    columns; returns the pivot count. Rows below it are zero there."""
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _oracle_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:
-    """Consistency by one forward rational elimination of the augmented rows.
-
-    Pivots come from the coefficient columns only, so the system is
-    inconsistent exactly when a leftover row reads 0 = nonzero.
-    """
-    k = system.unknowns
-    rows = [[*system.equations[i].coeffs, system.equations[i].rhs] for i in indices]
-    r = 0
-    for c in range(k):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -64,6 +34,23 @@ def _oracle_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:
                 f = Fraction(row[c]) / top[c]
                 row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
         r += 1
+    return r
+
+
+def naive_rank(m: RatMatrix) -> int:
+    """Rank as the pivot count of plain rational forward elimination."""
+    return _forward(m.to_rows(), m.cols)
+
+
+def _oracle_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:
+    """Consistency by one forward elimination of the augmented rows.
+
+    Pivots come from the coefficient columns only, so the system is
+    inconsistent exactly when a leftover row reads 0 = nonzero.
+    """
+    k = system.unknowns
+    rows = [[*system.equations[i].coeffs, system.equations[i].rhs] for i in indices]
+    r = _forward(rows, k)
     return all(row[k] == 0 for row in rows[r:])
 
 

@@ -91,17 +91,9 @@ class QuadVal:
         o = self._coerce(other)
         return quadval(self.a + o.a, self.b + o.b, self._join_radicand(o))
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "QuadVal":
         o = self._coerce(other)
         return quadval(self.a - o.a, self.b - o.b, self._join_radicand(o))
-
-    def __rsub__(self, other) -> "QuadVal":
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "QuadVal":
-        return QuadVal(-self.a, -self.b, self.d)
 
     def __mul__(self, other) -> "QuadVal":
         o = self._coerce(other)

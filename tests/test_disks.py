@@ -53,6 +53,14 @@ def test_pair_internal_tangency_point():
     assert rel.inner == 1
 
 
+def test_pair_internal_tangency_point_mirrored():
+    # the smaller disk first: the same point from the same formula
+    rel = pair_relation(disk(1, 0, 1), disk(0, 0, 2))
+    assert rel.kind is PairKind.INTERNAL_TANGENCY
+    assert rel.point == (2, 0)
+    assert rel.inner == 0
+
+
 def test_pair_equal():
     assert pair_relation(disk(1, 2, 3), disk(1, 2, 3)).kind is PairKind.EQUAL
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,9 @@ from helly.instances import (
     tetrahedral_system,
     venn_triple,
 )
+from helly.disks import disk, minimalist_helly_check
 from helly.linear import LinearSystem, linear_system
+from helly.radicals import point_float
 
 
 # -- instance files ----------------------------------------------------------
@@ -427,6 +430,61 @@ def test_cli_gen_refuses_oversize_requests(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at most")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["linear", "certify"], ["linear", "sample", "--size", "0", "--trials", "1"]],
+    ids=["certify", "sample"],
+)
+def test_cli_refuses_too_many_unknowns(tmp_path, capsys, argv):
+    # an empty equation list would still build a 10**9 x 10**9 nullspace basis
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": 1, "kind": "linear", "unknowns": 10**9, "equations": []}))
+    assert main([*argv[:2], str(path), *argv[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'unknowns' must be at most")
+
+
+def test_cli_accepts_unknowns_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": 1, "kind": "linear", "unknowns": MAX_GEN_K, "equations": []}))
+    assert main(["linear", "certify", str(path)]) == 0
+    assert f"solution set dimension {MAX_GEN_K}" in capsys.readouterr().out
+
+
+def _far_family(tmp_path):
+    """Three meeting unit disks centred near (10**400, 0), past float range."""
+    x, y = 10**400 + Fraction(1, 3), Fraction(-1, 7)
+    path = tmp_path / "far.json"
+    path.write_text(dumps_disks([disk(x, y, 1), disk(x + 1, y, 1), disk(x, y + 1, 1)]))
+    return path
+
+
+def test_cli_check_text_past_float_range(tmp_path, capsys):
+    assert main(["disks", "check", str(_far_family(tmp_path))]) == 0
+    line = capsys.readouterr().out.strip()
+    # the region's lex-least corner is the first centre
+    assert line == f"common point exists; certified near ({10**400}.333333, -0.142857)"
+
+
+def test_cli_svg_past_float_range_is_input_error(tmp_path, capsys):
+    out = tmp_path / "far.svg"
+    assert main(["disks", "svg", str(_far_family(tmp_path)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.rstrip().endswith("too large to draw")
+    assert not out.exists()
+
+
+def test_cli_check_text_rounds_like_the_float_format(tmp_path, capsys):
+    for seed in range(40):
+        fam = gen_helly_disks(5, seed)
+        path = tmp_path / f"h{seed}.json"
+        path.write_text(dumps_disks(fam))
+        assert main(["disks", "check", str(path)]) == 0
+        fx, fy = point_float(minimalist_helly_check(fam).point)
+        assert capsys.readouterr().out.strip() == f"common point exists; certified near ({fx:.6f}, {fy:.6f})"
 
 
 def test_cli_sample_refuses_too_many_trials(capsys):
