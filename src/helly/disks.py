@@ -8,9 +8,30 @@ circle-intersection coordinates; tangency is never detected by tolerance.
 
 The structural guarantee exercised here: for at least three disks, if
 every three of them meet then they all meet. ``minimalist_helly_check``
-computes the actual intersection and, when it is empty, hunts down a
-three-disk witness of the failure; if none existed the guarantee itself
-would be false, and the search aborts loudly.
+clips the disks in order. When the clip by disk m empties the region R
+of the disks before it, the violating triple is read from R's relation
+to D_m, by the separation argument of the three-disk proof:
+
+- R is a full disk f: f and D_m are disjoint, and the smallest index
+  not in {f, m} completes the triple.
+- R is a proper region: the line through R's point closest to D_m,
+  normal to the connecting segment, separates R from D_m
+  (``separation.separating_line``). At an arc interior point the line is
+  tangent to the arc's carrier, so that carrier misses D_m; the smallest
+  other index completes the triple. At a corner the lens of the two
+  carriers lies in the corner's tangent wedge, which the line also
+  separates from D_m.
+- R is a point p: the disks before m whose circles pass through p (the
+  carriers) are tried in pairs, in lexicographic order, with D_m. Some
+  pair fails: every carrier contains p, and every other disk before m
+  contains p in its interior, so if the carriers shared a second point
+  q, R would hold the points of the segment pq near p. So the carriers
+  meet only in p, which is not in D_m, and the three-disk statement on
+  the carriers and D_m gives a failing triple. It holds m, because any
+  three carriers meet at p.
+
+Each candidate triple is confirmed by the exact ``triple_meet``. If none
+fails, the guarantee itself would be false, and the check aborts loudly.
 """
 
 from __future__ import annotations
@@ -294,14 +315,11 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
     return ArcRegion(family, RegionKind.REGION, arcs=tuple(out))
 
 
-def intersect_region(family: Sequence[Disk]) -> ArcRegion:
-    """Intersection of every disk in the family, by incremental clipping.
-
-    Starts from the first disk as a full-disk region and clips with each
-    subsequent one. Duplicates are removed up front (first occurrence
-    kept); arc and full-disk indices refer to the family as given.
-    """
-    disks = tuple(family)
+def _clip_until_empty(disks: tuple[Disk, ...]) -> tuple[ArcRegion, int | None]:
+    """Clip the disks in order and stop before the first clip that would
+    empty the region. Returns the last nonempty region and the index of
+    the disk whose clip emptied it, or None when the whole family meets.
+    Duplicates are skipped (first occurrence kept)."""
     if not disks:
         raise ValueError("family must be nonempty")
     first: dict[Disk, int] = {}
@@ -310,10 +328,23 @@ def intersect_region(family: Sequence[Disk]) -> ArcRegion:
     keep = list(first.values())
     region = ArcRegion(disks, RegionKind.FULL, full_index=keep[0])
     for idx in keep[1:]:
-        region = _clip(region, idx)
-        if region.is_empty:
-            break
-    return region
+        clipped = _clip(region, idx)
+        if clipped.is_empty:
+            return region, idx
+        region = clipped
+    return region, None
+
+
+def intersect_region(family: Sequence[Disk]) -> ArcRegion:
+    """Intersection of every disk in the family, by incremental clipping.
+
+    Starts from the first disk as a full-disk region and clips with each
+    subsequent one. Duplicates are removed up front (first occurrence
+    kept); arc and full-disk indices refer to the family as given.
+    """
+    disks = tuple(family)
+    region, emptied_by = _clip_until_empty(disks)
+    return region if emptied_by is None else ArcRegion(disks, RegionKind.EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +396,37 @@ MinimalistVerdict = Union[CommonPoint, ViolatingTriple]
 
 def minimalist_helly_check(family: Sequence[Disk]) -> MinimalistVerdict:
     """Either a point common to every disk, or three disks with no common
-    point (the lexicographically first such triple).
+    point: a triple containing the disk whose clip emptied the region,
+    read from the closest feature (see the module docstring).
 
-    An empty intersection with no failing triple would contradict the
-    three-disk guarantee, so that case aborts loudly.
+    Each triple is confirmed by ``triple_meet``. An empty intersection
+    with no failing candidate would contradict the three-disk guarantee,
+    so that case aborts loudly.
     """
     disks = tuple(family)
     if len(disks) < 3:
         raise ValueError("at least three disks required")
-    region = intersect_region(disks)
-    if not region.is_empty:
+    region, m = _clip_until_empty(disks)
+    if m is None:
         return CommonPoint(region.representative_point())
-    for i, j, k in combinations(range(len(disks)), 3):
+    if region.kind is RegionKind.FULL:
+        groups = [(region.full_index,)]
+    elif region.kind is RegionKind.POINT:
+        carriers = [i for i in range(m) if disk_side(region.point, disks[i]) == 0]
+        groups = combinations(carriers, 2)
+    else:
+        # separation imports this module, so it can only be imported here
+        from .separation import separating_line
+
+        groups = [separating_line(disks[m], region).carriers]
+    for group in groups:
+        ids = {*group, m}
+        if len(ids) < 3:
+            ids.add(min({0, 1, 2} - ids))
+        i, j, k = sorted(ids)
         if not triple_meet(disks[i], disks[j], disks[k]):
             return ViolatingTriple((i, j, k))
     raise InvariantViolation(
-        "empty intersection but every three disks meet; this contradicts "
-        "the three-disk guarantee and indicates a bug"
+        "empty intersection but no triple named by the separation argument "
+        "fails; this contradicts the three-disk guarantee and indicates a bug"
     )

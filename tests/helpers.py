@@ -1,8 +1,9 @@
 """Shared random generators and test-only exact predicates."""
 
 from fractions import Fraction
+from itertools import combinations
 
-from helly import Disk, LinearSystem, disk, linear_system
+from helly import Disk, LinearSystem, disk, linear_system, triple_meet
 from helly.radicals import (
     QuadPoint,
     QuadVal,
@@ -51,13 +52,25 @@ def random_family(rng, n=None, **kw) -> list[Disk]:
     return [random_disk(rng, **kw) for _ in range(n)]
 
 
-def lattice_family(rng) -> list[Disk]:
-    """Integer centres in [-3, 3] and radii 1-5, so tangencies are common;
-    three families in ten repeat one disk."""
-    fam = [disk(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(3, 5))]
+def lattice_family(rng, den=1) -> list[Disk]:
+    """Centres in [-3, 3] and radii 1-5 on the lattice of step 1/den, so
+    tangencies are common; three families in ten repeat one disk."""
+    def coord(lo, hi):
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    fam = [disk(coord(-3, 3), coord(-3, 3), coord(1, 5)) for _ in range(rng.randint(3, 5))]
     if rng.random() < 0.3:
         fam.insert(rng.randint(0, len(fam)), rng.choice(fam))
     return fam
+
+
+def first_violating_triple(family) -> tuple[int, int, int] | None:
+    """The lexicographically first triple of indices whose disks have no
+    common point, by the exhaustive scan, or None when every three meet."""
+    for i, j, k in combinations(range(len(family)), 3):
+        if not triple_meet(family[i], family[j], family[k]):
+            return (i, j, k)
+    return None
 
 
 # -- exact predicates used only by the tests ---------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,13 @@ from helly import (
     same_point,
     triple_meet,
 )
+import helly.disks
+from helly.disks import disk_side
 from helly.instances import gen_helly_disks, venn_triple
 from helly.oracles import GridSpec, grid_meet_oracle
 from helly.radicals import QuadPoint, quadval
-from helpers import lattice_family, midpoint_side, random_family
+from helly.separation import ArcInterior, separating_line
+from helpers import first_violating_triple, lattice_family, midpoint_side, random_family
 
 EPS = Fraction(1, 10**9)
 
@@ -362,3 +366,98 @@ def test_check_planted_families_have_verified_common_point():
         assert isinstance(verdict, CommonPoint)
         for d in fam:
             assert in_disk(verdict.point, d)
+
+
+# -- the violating triple from the emptying clip -----------------------------
+
+
+@pytest.mark.parametrize(
+    "fam, triple",
+    [
+        # full disk 0 misses disk 1; 2 is the smallest other index
+        ([disk(0, 0, 5), disk(10, 10, 1), disk(0, 0, 1)], (0, 1, 2)),
+        # the top of the lens is inside disk 0's arc, and disk 0 misses disk 2
+        ([disk(0, -1, 2), disk(0, 1, 2), disk(0, 6, 1)], (0, 1, 2)),
+        # a corner of the lens of disks 0 and 1 is closest to disk 2 (with a
+        # superset disk after it: test_check_venn_triple_with_huge_superset_disk)
+        (venn_triple(), (0, 1, 2)),
+        # disks 0 and 1 touch at (1, 0), which disk 2 misses
+        ([disk(0, 0, 1), disk(2, 0, 1), disk(0, 5, 1), disk(1, 3, 1)], (0, 1, 2)),
+        # three circles through the origin; the first pair (0, 1) still meets disk 3
+        (
+            [disk(1, 0, 1), disk(Fraction(-3, 5), Fraction(4, 5), 1),
+             disk(Fraction(-3, 5), Fraction(-4, 5), 1), disk(Fraction(-7, 4), 1, 2)],
+            (0, 2, 3),
+        ),
+    ],
+    ids=["full", "arc", "corner", "point-two", "point-three"],
+)
+def test_check_triple_goldens(fam, triple):
+    verdict = minimalist_helly_check(fam)
+    assert verdict == ViolatingTriple(triple)
+
+
+def _emptying_clip(fam):
+    """The index of the disk whose clip empties the region, and the region
+    of the disks before it, found from prefixes."""
+    for m in range(1, len(fam)):
+        if intersect_region(fam[: m + 1]).is_empty:
+            return m, intersect_region(fam[:m])
+    raise AssertionError("the family meets")
+
+
+def _branch(fam, m, before):
+    if before.kind is RegionKind.FULL:
+        return "full"
+    if before.kind is RegionKind.POINT:
+        carriers = sum(disk_side(before.point, d) == 0 for d in set(fam[:m]))
+        return "point-two" if carriers == 2 else "point-three+"
+    feature = separating_line(fam[m], before).feature
+    return "arc" if isinstance(feature, ArcInterior) else "corner"
+
+
+def test_check_triple_against_exhaustive_scan():
+    rng = random.Random(7100)
+    branches = Counter()
+    for n in range(3000):
+        if n % 3 == 2:
+            fam = random_family(rng, n=rng.randint(3, 6), span=6, rhi=6)
+        else:
+            fam = lattice_family(rng, den=1 + n % 3)  # integer, then half-integer
+        verdict = minimalist_helly_check(fam)
+        if first_violating_triple(fam) is None:
+            assert isinstance(verdict, CommonPoint), fam
+            continue
+        assert isinstance(verdict, ViolatingTriple), fam
+        i, j, k = verdict.indices
+        assert i < j < k, fam
+        assert not triple_meet(fam[i], fam[j], fam[k]), fam
+        m, before = _emptying_clip(fam)
+        assert m in verdict.indices, fam
+        branches[_branch(fam, m, before)] += 1
+    assert set(branches) == {"full", "arc", "corner", "point-two", "point-three+"}, branches
+
+
+def test_check_confirms_one_triple_after_a_late_emptying_clip(monkeypatch):
+    # 20 large disks centred on a circle of radius 10 around the centroid
+    # of the venn_triple() centres, each containing every venn disk, then
+    # venn_triple(): the venn disks are the only violating triple.
+    venn = venn_triple()
+    ring = []
+    for j in range(20):
+        t = Fraction(j, 10) - 1  # rational points (cos, sin) on the unit circle
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        ring.append(disk(1 + 10 * c, Fraction(7, 12) + 10 * s, Fraction(49, 4) + Fraction(j % 5, 8)))
+    for big in ring:
+        for v in venn:
+            assert pair_relation(v, big).inner == 0
+    calls = []
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return triple_meet(a, b, c)
+
+    monkeypatch.setattr(helly.disks, "triple_meet", counted)
+    assert minimalist_helly_check(ring + venn) == ViolatingTriple((20, 21, 22))
+    # the exhaustive scan reaches (20, 21, 22) only at its last, C(23, 3) = 1771st, triple
+    assert len(calls) == 1
