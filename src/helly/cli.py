@@ -102,6 +102,12 @@ def _cmd_linear_certify(args) -> int:
             pt = ", ".join(str(x) for x in cert.witness.point)
             print(f"consistent; witness point ({pt}), solution set dimension {cert.witness.dim}")
         return 0
+    # imported here, so that commands which print no subsystem do not load
+    # the oracle module at start-up
+    from .oracles import is_minimal_inconsistent
+
+    if not is_minimal_inconsistent(system, cert.subsystem):
+        raise InvariantViolation(f"subsystem {list(cert.subsystem)} failed the independent re-check")
     if args.format == "json":
         print(json.dumps({"verdict": "inconsistent", "subsystem": list(cert.subsystem)}))
     else:

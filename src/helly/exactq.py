@@ -5,13 +5,16 @@ arithmetic underneath has to be exact: one rounded pivot can turn an
 inconsistent system into a "consistent" one. Everything here works over
 arbitrary-precision rationals and never rounds.
 
-One elimination routine lives here: ``bareiss``, fraction-free (Bareiss
-1968) elimination on an integer copy of the rows. Intermediate entries
-stay polynomially bounded and no gcd reduction happens per step. ``rank``
-is its pivot count, subsystem consistency (in ``helly.linear``) reads its
-leftover rows, and ``solve_affine`` adds one rational back-substitution to
-reach the canonical witness (free variables pinned to zero) and a
-nullspace basis.
+One elimination lives here: fraction-free (Bareiss 1968) elimination on
+integer rows. Intermediate entries stay polynomially bounded and no gcd
+reduction happens per step. It comes in two shapes that share the row
+scaling (``integer_row``) and the update with its exactness guard
+(``_eliminate``). ``bareiss`` reduces a whole matrix at once: ``rank`` is
+its pivot count, and ``solve_affine`` adds one rational back-substitution
+to reach the canonical witness (free variables pinned to zero) and a
+nullspace basis. ``bareiss_reduce`` reduces one new row against echelon
+rows that earlier calls produced, so subset consistency (in
+``helly.linear``) pays for each added row once.
 
 Pivoting is deterministic: first nonzero entry in the leftmost unresolved
 column, no magnitude heuristics. Witnesses are therefore reproducible
@@ -74,23 +77,40 @@ class RatMatrix:
         return RatMatrix(self.cols, self.rows, ents)
 
 
+def integer_row(row: Sequence[Rat | int]) -> list[int]:
+    """``row`` scaled to integers by the lcm of its denominators, which
+    changes neither the rank nor the consistency of any set of rows."""
+    mul = lcm(*(x.denominator for x in row))
+    return [x.numerator * (mul // x.denominator) for x in row]
+
+
+def _eliminate(row: list[int], top: Sequence[int], c: int, prev: int, start: int) -> None:
+    """One Bareiss update of ``row`` in place by the pivot row ``top``
+    with pivot column ``c``: entry ``j >= start`` becomes
+    ``(p * row[j] - q * top[j]) / prev``, where ``p = top[c]``,
+    ``q = row[c]`` and ``prev`` is the previous pivot (1 at the first).
+    Sylvester's identity makes every quotient exact; a remainder means the
+    caller broke the pivot sequence, so it raises rather than rounds."""
+    p, q = top[c], row[c]
+    for j in range(start, len(row)):
+        quot, rem = divmod(p * row[j] - q * top[j], prev)
+        if rem:
+            raise InvariantViolation("fraction-free elimination lost exactness")
+        row[j] = quot
+
+
 def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of ``rows``, pivoting only within the
     first ``ncols`` columns.
 
-    Each row is first scaled to integers by the lcm of its denominators,
-    which changes neither the rank nor the consistency of any subset of
-    rows. Later columns (a right-hand side) are carried along but never
-    pivoted on. Returns the echelon rows and the pivot columns: row ``i``
-    is the pivot row of ``pivots[i]``, and every row past the pivot rows
-    is zero in the first ``ncols`` columns.
+    Each row is first scaled to integers by ``integer_row``. Later columns
+    (a right-hand side) are carried along but never pivoted on. Returns
+    the echelon rows and the pivot columns: row ``i`` is the pivot row of
+    ``pivots[i]``, and every row past the pivot rows is zero in the first
+    ``ncols`` columns.
     """
-    a: list[list[int]] = []
-    for row in rows:
-        mul = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (mul // x.denominator) for x in row])
+    a = [integer_row(row) for row in rows]
     nrows = len(a)
-    width = len(a[0]) if a else 0
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -102,20 +122,36 @@ def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[
             continue
         a[r], a[piv] = a[piv], a[r]
         rowr = a[r]
-        p = rowr[c]
         for i in range(r + 1, nrows):
-            rowi = a[i]
-            q = rowi[c]
-            for j in range(c + 1, width):
-                quot, rem = divmod(p * rowi[j] - q * rowr[j], prev)
-                if rem:
-                    raise InvariantViolation("fraction-free elimination lost exactness")
-                rowi[j] = quot
-            rowi[c] = 0
-        prev = p
+            _eliminate(a[i], rowr, c, prev, c)
+        prev = rowr[c]
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def bareiss_reduce(
+    row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]], ncols: int
+) -> tuple[int | None, list[int]]:
+    """One Bareiss step for a single new integer row.
+
+    ``echelon`` holds ``(pivot column, row)`` pairs, each row as this
+    function returned it when reduced against the pairs before it. The
+    new row is reduced against them in order, over every column, because
+    the pivot columns need not increase. Returns the reduced row's first
+    nonzero column among the first ``ncols`` (``None`` when the row lies
+    in the span of the echelon rows there, and its later columns then
+    read the leftover of a right-hand side) and the reduced row.
+    """
+    x = list(row)
+    prev = 1
+    for c, top in echelon:
+        _eliminate(x, top, c, prev, 0)
+        prev = top[c]
+    for c in range(ncols):
+        if x[c]:
+            return c, x
+    return None, x
 
 
 def rank(m: RatMatrix) -> int:

@@ -4,7 +4,9 @@ Nothing here shares an elimination routine or a membership test with the
 production modules; a correlated bug would defeat the point of checking
 one against the other. One plain forward rational elimination serves
 both the rank and the consistency oracle; the rest is exhaustive scans,
-gated to desk-scale sizes.
+gated to desk-scale sizes. The command line also re-checks every
+inconsistent certificate with ``is_minimal_inconsistent`` before it
+prints one.
 """
 
 from __future__ import annotations
@@ -52,6 +54,15 @@ def _oracle_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:
     rows = [[*system.equations[i].coeffs, system.equations[i].rhs] for i in indices]
     r = _forward(rows, k)
     return all(row[k] == 0 for row in rows[r:])
+
+
+def is_minimal_inconsistent(system: LinearSystem, indices: Sequence[int]) -> bool:
+    """True when the selected equations are inconsistent and dropping any
+    one of them leaves a consistent subsystem, by ``_forward`` alone."""
+    idx = tuple(indices)
+    if any(not 0 <= i < system.n for i in idx) or _oracle_consistent(system, idx):
+        return False
+    return all(_oracle_consistent(system, idx[:i] + idx[i + 1 :]) for i in range(len(idx)))
 
 
 def exhaustive_min_inconsistent(system: LinearSystem) -> tuple[int, ...] | None:

@@ -39,6 +39,41 @@ def random_nondegenerate_system(rng, k=None, n=None, planted=None, lo=-5, hi=5) 
     return linear_system(rows, rhs)
 
 
+def random_structured_system(rng) -> LinearSystem:
+    """Up to 12 equations in 1 to 5 unknowns, full of the dependences a
+    subset search must get right: fractional entries, zero columns,
+    proportional rows, ``0 = 0`` and ``0 = c`` rows. Two systems in five
+    plant a rational solution, so that about half of them are consistent."""
+    k = rng.randint(1, 5)
+    n = rng.randint(1, 12)
+    zero_cols = {c for c in range(k) if rng.random() < 0.15}
+    solution = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] if rng.random() < 0.4 else None
+
+    def entry(c):
+        return Fraction(0) if c in zero_cols else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    rows, rhs = [], []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.02:
+            row, b = [Fraction(0)] * k, Fraction(rng.randint(-2, 2))
+        elif roll < 0.08:
+            row, b = [Fraction(0)] * k, Fraction(0)
+        elif roll < 0.4 and rows:
+            i = rng.randrange(len(rows))
+            f = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3))
+            row = [f * x for x in rows[i]]
+            b = f * rhs[i] + (rng.randint(-1, 1) if rng.random() < 0.15 else 0)
+        else:
+            row = [entry(c) for c in range(k)]
+            b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if solution is not None and any(row):
+            b = sum(c * x for c, x in zip(row, solution))
+        rows.append(row)
+        rhs.append(b)
+    return linear_system(rows, rhs)
+
+
 def random_disk(rng, span=10, rlo=1, rhi=10, den=3) -> Disk:
     x = Fraction(rng.randint(-span, span), rng.randint(1, den))
     y = Fraction(rng.randint(-span, span), rng.randint(1, den))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helly.exactq import RatMatrix, rank, solve_affine
+from helly.errors import InvariantViolation
+from helly.exactq import RatMatrix, bareiss_reduce, integer_row, rank, solve_affine
 from helly.oracles import naive_rank
 
 TETRA_COEFF = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
@@ -55,13 +56,31 @@ def test_rank_transpose_and_bound():
         assert rk <= min(m.rows, m.cols)
 
 
+def _stepwise_rank(m: RatMatrix) -> int:
+    """Rank by folding ``bareiss_reduce`` over the rows one at a time."""
+    echelon = []
+    for row in m.to_rows():
+        piv, red = bareiss_reduce(integer_row(row), echelon, m.cols)
+        if piv is not None:
+            echelon.append((piv, red))
+    return len(echelon)
+
+
 def test_rank_matches_naive_oracle_on_1000_instances():
     rng = random.Random(42)
     for _ in range(1000):
         r = rng.randint(1, 5)
         c = rng.randint(1, 6)
         m = RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
-        assert rank(m) == naive_rank(m)
+        assert rank(m) == naive_rank(m) == _stepwise_rank(m)
+
+
+def test_bareiss_reduce_guard_raises_on_a_broken_pivot_sequence():
+    # the second echelon row was not reduced against the first, so the
+    # division by the first pivot leaves a remainder
+    echelon = [(0, [2, 1, 0]), (1, [0, 3, 1])]
+    with pytest.raises(InvariantViolation):
+        bareiss_reduce([1, 1, 1], echelon, 2)
 
 
 def test_rank_low_rank_products():

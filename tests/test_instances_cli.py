@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,6 +431,40 @@ def test_cli_gen_refuses_oversize_requests(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at most")
+
+
+def test_cli_rechecks_an_inconsistent_certificate(tmp_path, capsys, monkeypatch):
+    import helly.cli
+    from helly.linear import Inconsistent
+
+    path = _gen(tmp_path, "tetrahedron", "t.json")
+    capsys.readouterr()
+    # (0, 1, 2) is consistent, and (0, 1, 2, 3, 3) stays inconsistent when
+    # one of its two 3s is dropped
+    for wrong in ((0, 1, 2), (0, 1, 2, 3, 3)):
+        monkeypatch.setattr(helly.cli, "helly_certify", lambda system: Inconsistent(wrong))
+        assert main(["linear", "certify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: subsystem")
+
+
+def test_cli_refuses_an_oversized_certify_at_once(tmp_path, capsys):
+    # 59 planted rows and one generic row in 6 unknowns: the walk could
+    # test sum C(60, s) for s <= 7, about 4.4e8 subsets
+    planted = gen_consistent_linear(59, 6, seed=1)
+    system = linear_system(
+        [list(eq.coeffs) for eq in planted.equations] + [[1, 10, 100, 1000, 10000, 100000]],
+        [eq.rhs for eq in planted.equations] + [1234567],
+    )
+    path = tmp_path / "late.json"
+    path.write_text(dumps_linear(system))
+    start = time.perf_counter()
+    assert main(["linear", "certify", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "subsets; refused" in captured.err
 
 
 @pytest.mark.parametrize(

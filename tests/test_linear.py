@@ -16,8 +16,10 @@ from helly import (
     sample_consistency,
     witness_satisfies,
 )
+import helly.linear
 from helly.instances import gen_consistent_linear, tetrahedral_system
-from helpers import random_nondegenerate_system
+from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
+from helpers import random_nondegenerate_system, random_structured_system
 
 
 def test_classify_degenerate_inconsistent():
@@ -184,3 +186,87 @@ def test_degenerate_consistent_rows_are_inert():
     assert isinstance(cert, Consistent)
     assert cert.witness.point == (2, 3)
     assert Fraction(2) == cert.witness.point[0]
+
+
+def _late_system(seed: int):
+    """``gen_consistent_linear(15, 5, seed)`` plus one generic row: every
+    subset of at most five rows is consistent and independent, and the
+    first inconsistent one is rows 0 to 4 with the appended row 15."""
+    planted = gen_consistent_linear(15, 5, seed)
+    return linear_system(
+        [list(eq.coeffs) for eq in planted.equations] + [[1, 10, 100, 1000, 10000]],
+        [eq.rhs for eq in planted.equations] + [123457],
+    )
+
+
+def _count_reductions(monkeypatch) -> list[int]:
+    calls = [0]
+    reduce = helly.linear.bareiss_reduce
+
+    def counted(*args):
+        calls[0] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(helly.linear, "bareiss_reduce", counted)
+    return calls
+
+
+def test_certify_walk_work_golden(monkeypatch):
+    # one reduction per walk node: every subset of at most 5 of the 16
+    # rows, sum C(16, d) for d = 1..5 = 6,884, plus the 11 size-6 nodes
+    # (0, 1, 2, 3, 4, j) for j = 5..15; a per-size rescan inserts 31,122 rows
+    calls = _count_reductions(monkeypatch)
+    assert helly_certify(_late_system(1)) == Inconsistent((0, 1, 2, 3, 4, 15))
+    assert calls[0] == 6895
+
+
+def test_certify_walk_never_extends_a_dependent_prefix(monkeypatch):
+    # (0, 1) repeats x = 0, so its children (0, 1, 2) and (0, 1, 3) are
+    # never visited; the walk makes 11 reductions instead of 13
+    s = linear_system([[1, 0], [1, 0], [0, 1], [1, 1]], [0, 0, 0, 1])
+    calls = _count_reductions(monkeypatch)
+    assert helly_certify(s) == Inconsistent((0, 2, 3))
+    assert calls[0] == 11
+
+
+def test_certify_matches_exhaustive_oracle_on_structured_systems():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        s = random_structured_system(rng)
+        # inconsistency is monotone, so the exhaustive scan finds nothing
+        # exactly when the whole system is consistent
+        expected = None if _oracle_consistent(s, range(s.n)) else exhaustive_min_inconsistent(s)
+        cert = helly_certify(s)
+        assert (cert.subsystem if isinstance(cert, Inconsistent) else None) == expected
+
+
+def test_sample_reports_match_goldens():
+    rng = random.Random(2026)
+    got = []
+    for i in range(12):
+        s = random_structured_system(rng)
+        r = sample_consistency(s, min(s.unknowns + 1, s.n), 40, seed=i)
+        got.append((r.inconsistent_samples, r.first_hit))
+    assert got == [
+        (36, (3, 5)),
+        (39, (2, 9)),
+        (14, (1, 2, 3, 5, 6, 7)),
+        (0, None),
+        (12, (0, 3)),
+        (40, (4, 5, 6, 7, 9)),
+        (34, (1, 9)),
+        (34, (2, 5)),
+        (0, None),
+        (0, None),
+        (30, (0, 6, 9)),
+        (0, None),
+    ]
+
+
+def test_certify_refuses_an_oversized_search_only_when_inconsistent():
+    planted = gen_consistent_linear(59, 6, seed=3)
+    rows = [list(eq.coeffs) for eq in planted.equations]
+    rhs = [eq.rhs for eq in planted.equations]
+    assert isinstance(helly_certify(linear_system(rows, rhs)), Consistent)
+    with pytest.raises(ValueError, match="subsets; refused"):
+        helly_certify(linear_system(rows + [[1, 10, 100, 1000, 10000, 100000]], rhs + [1234567]))
