@@ -7,14 +7,14 @@ arbitrary-precision rationals and never rounds.
 
 One elimination lives here: fraction-free (Bareiss 1968) elimination on
 integer rows. Intermediate entries stay polynomially bounded and no gcd
-reduction happens per step. It comes in two shapes that share the row
-scaling (``integer_row``) and the update with its exactness guard
-(``_eliminate``). ``bareiss`` reduces a whole matrix at once: ``rank`` is
-its pivot count, and ``solve_affine`` adds one rational back-substitution
-to reach the canonical witness (free variables pinned to zero) and a
-nullspace basis. ``bareiss_reduce`` reduces one new row against echelon
-rows that earlier calls produced, so subset consistency (in
-``helly.linear``) pays for each added row once.
+reduction happens per step. Every use of it shares the row scaling
+(``integer_row``) and one update with its exactness guard
+(``bareiss_update``). ``bareiss`` reduces a whole matrix at once: ``rank``
+is its pivot count, and ``solve_affine`` adds one rational
+back-substitution to reach the canonical witness (free variables pinned
+to zero) and a nullspace basis. The subset searches of ``helly.linear``
+call ``bareiss_update`` themselves, once per row and path of rows they
+reduce it by.
 
 Pivoting is deterministic: first nonzero entry in the leftmost unresolved
 column, no magnitude heuristics. Witnesses are therefore reproducible
@@ -84,19 +84,21 @@ def integer_row(row: Sequence[Rat | int]) -> list[int]:
     return [x.numerator * (mul // x.denominator) for x in row]
 
 
-def _eliminate(row: list[int], top: Sequence[int], c: int, prev: int, start: int) -> None:
-    """One Bareiss update of ``row`` in place by the pivot row ``top``
-    with pivot column ``c``: entry ``j >= start`` becomes
+def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) -> list[int]:
+    """One Bareiss update of ``row`` by the pivot row ``top`` with pivot
+    column ``c``, as a new row: entry ``j`` becomes
     ``(p * row[j] - q * top[j]) / prev``, where ``p = top[c]``,
     ``q = row[c]`` and ``prev`` is the previous pivot (1 at the first).
     Sylvester's identity makes every quotient exact; a remainder means the
     caller broke the pivot sequence, so it raises rather than rounds."""
     p, q = top[c], row[c]
-    for j in range(start, len(row)):
-        quot, rem = divmod(p * row[j] - q * top[j], prev)
+    out = []
+    for x, t in zip(row, top):
+        quot, rem = divmod(p * x - q * t, prev)
         if rem:
             raise InvariantViolation("fraction-free elimination lost exactness")
-        row[j] = quot
+        out.append(quot)
+    return out
 
 
 def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -123,35 +125,11 @@ def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[
         a[r], a[piv] = a[piv], a[r]
         rowr = a[r]
         for i in range(r + 1, nrows):
-            _eliminate(a[i], rowr, c, prev, c)
+            a[i] = bareiss_update(a[i], rowr, c, prev)
         prev = rowr[c]
         pivots.append(c)
         r += 1
     return a, pivots
-
-
-def bareiss_reduce(
-    row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]], ncols: int
-) -> tuple[int | None, list[int]]:
-    """One Bareiss step for a single new integer row.
-
-    ``echelon`` holds ``(pivot column, row)`` pairs, each row as this
-    function returned it when reduced against the pairs before it. The
-    new row is reduced against them in order, over every column, because
-    the pivot columns need not increase. Returns the reduced row's first
-    nonzero column among the first ``ncols`` (``None`` when the row lies
-    in the span of the echelon rows there, and its later columns then
-    read the leftover of a right-hand side) and the reduced row.
-    """
-    x = list(row)
-    prev = 1
-    for c, top in echelon:
-        _eliminate(x, top, c, prev, 0)
-        prev = top[c]
-    for c in range(ncols):
-        if x[c]:
-            return c, x
-    return None, x
 
 
 def rank(m: RatMatrix) -> int:

@@ -29,15 +29,18 @@ the ``k + 1`` bound.)
 
 *The walk.* Nodes are increasing index tuples, visited in lexicographic
 pre-order: ``(0), (0, 1), (0, 1, 2), ..., (0, 2), ...``. Each row is
-scaled to integers once; a node reduces only its last row, by one
-``bareiss_reduce`` call against the reduced rows of its parent. If that
-row stays nonzero in the coefficient columns, the node's rows are
-independent and the node may be extended. If it reduces to ``0 = 0``,
-the rows are dependent and consistent, and by the lemma no minimal
-inconsistent subsystem contains them, so the node is never extended (the
-circuit prune). If it reduces to ``0 = c`` with ``c != 0``, the node is
-an inconsistent set of size ``d``, the best so far, and the depth cap
-drops from its start, ``k + 1``, to ``d - 1``.
+scaled to integers once. For each prefix of its path the walk keeps the
+later rows reduced by that prefix's pivot rows (``_Path``). A node's
+last row is the parent's reduced copy of that row, updated once by the
+parent's own pivot row; the update is made when a node first needs it
+and is shared by every node below the parent, so each node costs one
+Bareiss update. If that row stays nonzero in the coefficient columns,
+the node's rows are independent and the node may be extended. If it
+reduces to ``0 = 0``, the rows are dependent and consistent, and by the
+lemma no minimal inconsistent subsystem contains them, so the node is
+never extended (the circuit prune). If it reduces to ``0 = c`` with
+``c != 0``, the node is an inconsistent set of size ``d``, the best so
+far, and the depth cap drops from its start, ``k + 1``, to ``d - 1``.
 
 *Why the last hit is the size-then-lex first minimum.* Let ``S`` be the
 lexicographically first inconsistent set of the least size ``m``. Each
@@ -54,22 +57,27 @@ and no inconsistent set is that small, so ``S`` is the last hit.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, RatMatrix, bareiss_reduce, integer_row, solve_affine
+from .exactq import AffineSolutionSet, Rat, RatMatrix, bareiss_update, integer_row, solve_affine
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
 # Most walk nodes an inconsistent system may need: sum over s <= k + 1 of
-# C(n, s). A node costs one ``bareiss_reduce`` call, 4.6 to 5.3
-# microseconds for k = 5 (31 rows, 206,393 nodes) on a 2-core Xeon under
-# CPython 3.11, so the cap is about a minute of search.
+# C(n, s). A node costs one ``bareiss_update``, 3.9 to 4.2 microseconds
+# for k = 5 (31 rows, 206,393 nodes) on a 2-core Xeon under
+# CPython 3.11, so the cap is under a minute of search.
 MAX_CERTIFY_NODES = 10**7
+# Indices that ``sample_consistency`` holds, sorts and scans at once:
+# 4,096 draws of up to 8 indices, fewer of larger draws. A larger batch
+# shares more prefixes but holds more draws in memory.
+SAMPLE_BATCH_INDICES = 4096 * 8
 
 
 class EquationClass(Enum):
@@ -150,18 +158,91 @@ def _integer_rows(system: LinearSystem) -> list[list[int]]:
     return [integer_row(eq.coeffs + (eq.rhs,)) for eq in system.equations]
 
 
-def _rows_consistent(rows: Sequence[Sequence[int]], k: int) -> bool:
-    """Fold ``bareiss_reduce`` over ``rows``: a row that reduces to
-    ``0 = 0`` is dropped, one that reduces to ``0 = nonzero`` settles
-    inconsistency."""
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
-        piv, red = bareiss_reduce(row, echelon, k)
+class _Path:
+    """A path of row indices and, on demand, rows reduced by its pivot rows.
+
+    ``levels[r]`` maps ``j`` to ``rows[j]`` reduced by the first ``r``
+    pivot rows of the path. An entry is computed when it is first asked
+    for, from the deepest level that has ``j``, and it is dropped with the
+    pivot rows it depends on: each row is reduced once per prefix, and at
+    most ``(k + 1) * n`` rows are held. A pushed row with no pivot
+    (``0 = 0``, or ``0 = c`` ending an inconsistent path) adds no level.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], k: int) -> None:
+        self.k = k
+        self.indices: list[int] = []
+        self.ranks: list[int] = []  # ranks[i]: pivot rows among indices[: i + 1]
+        self.levels: list[Sequence[Sequence[int]] | dict[int, Sequence[int]]] = [rows]
+        # each pivot row with its pivot column and the pivot before it
+        self.pivots: list[tuple[Sequence[int], int, int]] = []
+
+    def reduced(self, j: int) -> tuple[int | None, Sequence[int]]:
+        """Row ``j`` reduced by the path's pivot rows, with its first
+        nonzero column among the first ``k`` (``None`` if there is none)."""
+        levels, pivots = self.levels, self.pivots
+        r = e = len(pivots)
+        while e and j not in levels[e]:
+            e -= 1
+        row = levels[e][j]
+        while e < r:
+            row = bareiss_update(row, *pivots[e])
+            e += 1
+            levels[e][j] = row
+        for c in range(self.k):
+            if row[c]:
+                return c, row
+        return None, row
+
+    def push(self, j: int, piv: int | None, row: Sequence[int]) -> None:
+        """Extend the path by row ``j`` as ``reduced(j)`` returned it."""
+        self.indices.append(j)
         if piv is not None:
-            echelon.append((piv, red))
-        elif red[k]:
-            return False
-    return True
+            top, c, _ = self.pivots[-1] if self.pivots else ((1,), 0, 1)
+            self.pivots.append((row, piv, top[c]))
+            self.levels.append({})
+        self.ranks.append(len(self.pivots))
+
+    def truncate(self, m: int) -> None:
+        """Cut the path back to its first ``m`` indices."""
+        del self.indices[m:], self.ranks[m:]
+        r = self.ranks[-1] if self.ranks else 0
+        del self.pivots[r:], self.levels[r + 1 :]
+
+
+def _scan_sets(
+    rows: Sequence[Sequence[int]], k: int, sets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield each of ``sets``, index tuples in lexicographic order, with
+    whether its rows are consistent.
+
+    A set's rows are pushed in order: a row that reduces to ``0 = 0``
+    adds no pivot, one that reduces to ``0 = nonzero`` settles
+    inconsistency. A set keeps the path it shares with the set before it,
+    and an inconsistent path decides every set that starts with it. There
+    is no circuit prune: a dependent prefix can still start an
+    inconsistent set.
+    """
+    path = _Path(rows, k)
+    dead = False  # the last row of the path made it inconsistent
+    for idx in sets:
+        m = 0
+        for a, b in zip(path.indices, idx):
+            if a != b:
+                break
+            m += 1
+        if dead and m == len(path.indices):
+            yield idx, False
+            continue
+        dead = False
+        path.truncate(m)
+        for j in idx[m:]:
+            piv, row = path.reduced(j)
+            path.push(j, piv, row)
+            if piv is None and row[k]:
+                dead = True
+                break
+        yield idx, not dead
 
 
 def _validated_indices(system: LinearSystem, indices: Iterable[int]) -> tuple[int, ...]:
@@ -188,16 +269,17 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     """Scan every ``size``-subset in lexicographic order.
 
     Returns ``None`` when all are consistent, else the lexicographically
-    first inconsistent index set. Each subset is reduced on its own, with
-    no circuit prune: the first inconsistent ``size``-subset need not be
-    minimal, so a prefix whose rows are already dependent can still
-    start it (rows ``x = 0``, ``x = 0``, ``x = 1`` at size 3).
+    first inconsistent index set. Subsets share the reduced rows of their
+    common prefix (``_scan_sets``), with no circuit prune: the first
+    inconsistent ``size``-subset need not be minimal, so a prefix whose
+    rows are already dependent can still start it (rows ``x = 0``,
+    ``x = 0``, ``x = 1`` at size 3).
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
-    rows = _integer_rows(system)
-    for idx in combinations(range(system.n), size):
-        if not _rows_consistent([rows[i] for i in idx], system.unknowns):
+    sets = combinations(range(system.n), size)
+    for idx, consistent in _scan_sets(_integer_rows(system), system.unknowns, sets):
+        if not consistent:
             return idx
     return None
 
@@ -230,30 +312,29 @@ def _check_search_size(n: int, k: int) -> None:
 def _first_minimum_inconsistent(rows: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
     """The depth-first walk of the module docstring.
 
-    ``prefix`` and ``echelon`` are the path from the root: the indices and
-    their reduced rows. ``j`` is the next row to try below that path.
-    Returns the last hit, which is the size-then-lex first minimum, or
-    ``None`` when no subset of at most ``k + 1`` rows is inconsistent.
+    ``path`` runs from the root and ``j`` is the next row to try below
+    it. Returns the last hit, which is the size-then-lex first minimum,
+    or ``None`` when no subset of at most ``k + 1`` rows is inconsistent.
     """
     n = len(rows)
     cap = min(k + 1, n)
-    prefix: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []
+    path = _Path(rows, k)
+    prefix = path.indices
     best: tuple[int, ...] | None = None
     j = 0
     while True:
-        if j < n and len(prefix) < cap:
-            piv, red = bareiss_reduce(rows[j], echelon, k)
+        d = len(prefix)
+        if j < n and d < cap:
+            piv, row = path.reduced(j)
             if piv is not None:
-                prefix.append(j)
-                echelon.append((piv, red))
-            elif red[k]:
+                path.push(j, piv, row)
+            elif row[k]:
                 best = (*prefix, j)
-                cap = len(prefix)
+                cap = d
             j += 1
         elif prefix:
-            j = prefix.pop() + 1
-            echelon.pop()
+            j = prefix[-1] + 1
+            path.truncate(d - 1)
         else:
             return best
 
@@ -300,7 +381,10 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     """Draw uniform random ``size``-subsets and test each for consistency.
 
     A deterministic generator seeded by ``seed`` drives the draws, so a
-    report is reproducible bit for bit from its own fields.
+    report is reproducible bit for bit from its own fields. The draws are
+    judged in batches of ``SAMPLE_BATCH_INDICES`` indices: a batch is
+    sorted, so that draws share the reduced rows of their common prefixes
+    (``_scan_sets``), and then tallied in draw order.
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
@@ -310,10 +394,15 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     rows = _integer_rows(system)
     bad = 0
     first_hit: tuple[int, ...] | None = None
-    for _ in range(trials):
-        idx = tuple(sorted(rng.sample(range(system.n), size)))
-        if not _rows_consistent([rows[i] for i in idx], system.unknowns):
-            bad += 1
-            if first_hit is None:
-                first_hit = idx
+    batch = max(1, SAMPLE_BATCH_INDICES // max(size, 8))
+    for start in range(0, trials, batch):
+        draws = [
+            tuple(sorted(rng.sample(range(system.n), size)))
+            for _ in range(min(batch, trials - start))
+        ]
+        order = sorted(draws)
+        consistent = bytearray(ok for _, ok in _scan_sets(rows, system.unknowns, order))
+        bad += consistent.count(0)
+        if first_hit is None and bad:
+            first_hit = next(idx for idx in draws if not consistent[bisect_left(order, idx)])
     return SamplingReport(trials, size, bad, first_hit, seed)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly.errors import InvariantViolation
-from helly.exactq import RatMatrix, bareiss_reduce, integer_row, rank, solve_affine
+from helly.exactq import RatMatrix, bareiss_update, integer_row, rank, solve_affine
+from helly.linear import _Path
 from helly.oracles import naive_rank
 
 TETRA_COEFF = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
@@ -57,13 +58,15 @@ def test_rank_transpose_and_bound():
 
 
 def _stepwise_rank(m: RatMatrix) -> int:
-    """Rank by folding ``bareiss_reduce`` over the rows one at a time."""
-    echelon = []
-    for row in m.to_rows():
-        piv, red = bareiss_reduce(integer_row(row), echelon, m.cols)
-        if piv is not None:
-            echelon.append((piv, red))
-    return len(echelon)
+    """Rank by pushing the rows one at a time onto the path of
+    ``helly.linear``'s subset searches: a row with a pivot adds one."""
+    path = _Path([integer_row(row) for row in m.to_rows()], m.cols)
+    found = 0
+    for j in range(m.rows):
+        piv, red = path.reduced(j)
+        path.push(j, piv, red)
+        found += piv is not None
+    return found
 
 
 def test_rank_matches_naive_oracle_on_1000_instances():
@@ -75,12 +78,13 @@ def test_rank_matches_naive_oracle_on_1000_instances():
         assert rank(m) == naive_rank(m) == _stepwise_rank(m)
 
 
-def test_bareiss_reduce_guard_raises_on_a_broken_pivot_sequence():
-    # the second echelon row was not reduced against the first, so the
-    # division by the first pivot leaves a remainder
-    echelon = [(0, [2, 1, 0]), (1, [0, 3, 1])]
+def test_bareiss_update_guard_raises_on_a_broken_pivot_sequence():
+    # [1, 1, 1] reduced by the pivot row [2, 1, 0] is [0, 1, 2]; the next
+    # pivot row [0, 3, 1] was not reduced by [2, 1, 0], so dividing by the
+    # previous pivot 2 leaves a remainder
+    assert bareiss_update([1, 1, 1], [2, 1, 0], 0, 1) == [0, 1, 2]
     with pytest.raises(InvariantViolation):
-        bareiss_reduce([1, 1, 1], echelon, 2)
+        bareiss_update([0, 1, 2], [0, 3, 1], 1, 2)
 
 
 def test_rank_low_rank_products():

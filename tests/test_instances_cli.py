@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helly
 from helly.cli import MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_TRIALS, main
 from helly.instances import (
     dumps_disks,
@@ -121,6 +125,22 @@ def test_cli_tetrahedron_certify_exit_one(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 1
     assert out == {"verdict": "inconsistent", "subsystem": [0, 1, 2, 3]}
+
+
+@pytest.mark.parametrize("module", ["helly", "helly.cli"])
+def test_cli_runs_as_a_module(tmp_path, module):
+    # 0 = 0 and 0 = 3: the second equation alone is the certificate
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_linear(linear_system([[0], [0]], [0, 3])))
+    src = str(Path(helly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "linear", "certify", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == "inconsistent; smallest inconsistent subsystem: equations {1}\n"
+    assert done.stderr == ""
 
 
 def test_cli_gen_tetrahedron_matches_builtin(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,6 +17,7 @@ from helly import (
     sample_consistency,
     witness_satisfies,
 )
+import helly.exactq
 import helly.linear
 from helly.instances import gen_consistent_linear, tetrahedral_system
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
@@ -199,34 +201,88 @@ def _late_system(seed: int):
     )
 
 
-def _count_reductions(monkeypatch) -> list[int]:
-    calls = [0]
-    reduce = helly.linear.bareiss_reduce
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count Bareiss row updates, in ``helly.linear`` and in the
+    whole-matrix elimination of ``helly.exactq``, and the rows that the
+    subset searches ask their path for (one per walk node)."""
+    work = {"updates": 0, "nodes": 0}
+    update = helly.exactq.bareiss_update
+    reduced = helly.linear._Path.reduced
 
-    def counted(*args):
-        calls[0] += 1
-        return reduce(*args)
+    def counted_update(*args):
+        work["updates"] += 1
+        return update(*args)
 
-    monkeypatch.setattr(helly.linear, "bareiss_reduce", counted)
-    return calls
+    def counted_reduced(*args):
+        work["nodes"] += 1
+        return reduced(*args)
+
+    monkeypatch.setattr(helly.exactq, "bareiss_update", counted_update)
+    monkeypatch.setattr(helly.linear, "bareiss_update", counted_update)
+    monkeypatch.setattr(helly.linear._Path, "reduced", counted_reduced)
+    return work
 
 
 def test_certify_walk_work_golden(monkeypatch):
-    # one reduction per walk node: every subset of at most 5 of the 16
-    # rows, sum C(16, d) for d = 1..5 = 6,884, plus the 11 size-6 nodes
-    # (0, 1, 2, 3, 4, j) for j = 5..15; a per-size rescan inserts 31,122 rows
-    calls = _count_reductions(monkeypatch)
+    # one node per subset of at most 5 of the 16 rows, sum C(16, d) for
+    # d = 1..5 = 6,884, plus the 11 size-6 nodes (0, 1, 2, 3, 4, j) for
+    # j = 5..15. Each node below the root costs one update, its row
+    # reduced once by its parent's pivot row: 6,895 - 16 = 6,879. The
+    # whole-system check adds 15 + 14 + 13 + 12 + 11 = 65.
+    work = _count_work(monkeypatch)
     assert helly_certify(_late_system(1)) == Inconsistent((0, 1, 2, 3, 4, 15))
-    assert calls[0] == 6895
+    assert work == {"nodes": 6895, "updates": 6879 + 65}
 
 
 def test_certify_walk_never_extends_a_dependent_prefix(monkeypatch):
-    # (0, 1) repeats x = 0, so its children (0, 1, 2) and (0, 1, 3) are
-    # never visited; the walk makes 11 reductions instead of 13
+    # (0, 1) repeats x = 0, so it is not pushed and its children (0, 1, 2)
+    # and (0, 1, 3) are never visited: 11 nodes instead of 13. Rows 1, 2
+    # and 3 are reduced once below (0), row 3 once below (0, 2), rows 2
+    # and 3 once below (1) and row 3 once below (2): 7 updates; the
+    # whole-system check adds 3 + 2 = 5.
     s = linear_system([[1, 0], [1, 0], [0, 1], [1, 1]], [0, 0, 0, 1])
-    calls = _count_reductions(monkeypatch)
+    work = _count_work(monkeypatch)
     assert helly_certify(s) == Inconsistent((0, 2, 3))
-    assert calls[0] == 11
+    assert work == {"nodes": 11, "updates": 7 + 5}
+
+
+def _det(a) -> int:
+    """Leibniz determinant of a small square integer matrix."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        term = (-1) ** sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
+def test_path_pivots_are_the_leading_minors():
+    # each update divides by the previous pivot, so while the leading
+    # minors are nonzero the pivot of the d-th row pushed is the leading
+    # d x d minor (Bareiss 1968), not a product that grows with the depth
+    rng = random.Random(77)
+    for _ in range(300):
+        m = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
+        path = helly.linear._Path(m, 4)
+        for j in range(4):
+            minor = _det([r[: j + 1] for r in m[: j + 1]])
+            if minor == 0:
+                break
+            piv, row = path.reduced(j)
+            assert (piv, row[j], row[:j]) == (j, minor, [0] * j)
+            path.push(j, piv, row)
+
+
+def test_sample_work_golden(monkeypatch):
+    # C(16, 5) = 4,368 draws of 6 of the 16 rows. Folding each draw from
+    # scratch costs 0 + 1 + ... + 5 = 15 updates, 65,520 in all. Sorted in
+    # batches of 4,096, the draws reduce each row once per prefix they
+    # share: 9,965 updates, and the report is the one the fold gives
+    work = _count_work(monkeypatch)
+    report = sample_consistency(_late_system(1), 6, 4368, seed=1)
+    assert (report.inconsistent_samples, report.first_hit) == (1681, (1, 4, 9, 12, 13, 15))
+    assert work["updates"] == 9965 < 65520 // 2
 
 
 def test_certify_matches_exhaustive_oracle_on_structured_systems():
@@ -261,6 +317,70 @@ def test_sample_reports_match_goldens():
         (30, (0, 6, 9)),
         (0, None),
     ]
+
+
+def _replayed_sample(s, size, trials, seed):
+    """``sample_consistency`` one draw at a time, each judged by the oracle."""
+    draws = random.Random(seed)
+    verdicts = {}
+    bad, first_hit = 0, None
+    for _ in range(trials):
+        idx = tuple(sorted(draws.sample(range(s.n), size)))
+        if idx not in verdicts:
+            verdicts[idx] = _oracle_consistent(s, idx)
+        if not verdicts[idx]:
+            bad += 1
+            if first_hit is None:
+                first_hit = idx
+    return bad, first_hit
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+def test_sampling_matches_a_per_draw_replay_across_batches(monkeypatch, batch):
+    # trials = 2 * batch + 3 splits draws of up to 8 rows into three
+    # batches, and larger ones into more; the small systems make draws
+    # repeat within and across batches, and a batch of 7 puts many first
+    # hits past the first batch
+    if batch is not None:
+        monkeypatch.setattr(helly.linear, "SAMPLE_BATCH_INDICES", batch * 8)
+    trials = 2 * (helly.linear.SAMPLE_BATCH_INDICES // 8) + 3
+    rng = random.Random(1203 if batch is None else 1207)
+    for seed in range(12 if batch is None else 600):
+        s = random_structured_system(rng)
+        size = rng.randint(0, s.n)
+        report = sample_consistency(s, size, trials, seed)
+        assert report.samples_drawn == trials
+        assert (report.inconsistent_samples, report.first_hit) == _replayed_sample(s, size, trials, seed)
+
+
+def test_sampling_holds_a_bounded_batch(monkeypatch):
+    # 4,096 draws of at most 8 rows at a time, and fewer of larger draws
+    scanned = []
+    scan = helly.linear._scan_sets
+
+    def recorded(rows, k, sets):
+        scanned.append(len(sets))
+        return scan(rows, k, sets)
+
+    monkeypatch.setattr(helly.linear, "_scan_sets", recorded)
+    s = gen_consistent_linear(40, 2, seed=5)
+    for size, trials, batches in ((3, 5000, [4096, 904]), (40, 2000, [819, 819, 362])):
+        scanned.clear()
+        assert sample_consistency(s, size, trials, seed=1).inconsistent_samples == 0
+        assert scanned == batches
+
+
+def test_all_subsystems_matches_a_per_subset_oracle_scan():
+    # the docstring's dependent prefix: x = 0 twice, then x = 1
+    assert all_subsystems_consistent(linear_system([[1], [1], [1]], [0, 0, 1]), 3) == (0, 1, 2)
+    rng = random.Random(1212)
+    for _ in range(1000):
+        s = random_structured_system(rng)
+        size = rng.randint(0, s.n)
+        expected = next(
+            (idx for idx in combinations(range(s.n), size) if not _oracle_consistent(s, idx)), None
+        )
+        assert all_subsystems_consistent(s, size) == expected
 
 
 def test_certify_refuses_an_oversized_search_only_when_inconsistent():
