@@ -7,7 +7,7 @@ consumes a float or an epsilon.
 """
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, RatMatrix, rank, rat, solve_affine
+from .exactq import AffineSolutionSet, Rat, rank, rat, solve_affine
 from .linear import (
     Consistent,
     Equation,
@@ -76,7 +76,6 @@ __all__ = [
     "QuadPoint",
     "QuadVal",
     "Rat",
-    "RatMatrix",
     "RegionKind",
     "SamplingReport",
     "SeparatingLine",

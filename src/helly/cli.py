@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import instances
 from .instances import _rat_pair
 from .errors import InvariantViolation
-from .disks import CommonPoint, intersect_region, minimalist_helly_check
+from .disks import CommonPoint, in_disk, intersect_region, minimalist_helly_check
 from .linear import Consistent, LinearSystem, helly_certify, sample_consistency
 from .radicals import point_bounds, point_float, quad_float
 from .separation import separating_line
@@ -163,6 +163,8 @@ def _cmd_disks_check(args) -> int:
     family = _load(args.path, "disks")
     verdict = minimalist_helly_check(family)
     if isinstance(verdict, CommonPoint):
+        if not all(in_disk(verdict.point, d) for d in family):
+            raise InvariantViolation("common point failed the re-check against the family")
         if args.format == "json":
             print(
                 json.dumps(

@@ -1,4 +1,4 @@
-"""Exact rational scalars, matrices, and affine solution sets.
+"""Exact rational scalars, row echelon forms, and affine solution sets.
 
 Feasibility of a linear system is a yes/no property of its ranks, so the
 arithmetic underneath has to be exact: one rounded pivot can turn an
@@ -9,16 +9,21 @@ One elimination lives here: fraction-free (Bareiss 1968) elimination on
 integer rows. Intermediate entries stay polynomially bounded and no gcd
 reduction happens per step. Every use of it shares the row scaling
 (``integer_row``) and one update with its exactness guard
-(``bareiss_update``). ``bareiss`` reduces a whole matrix at once: ``rank``
-is its pivot count, and ``solve_affine`` adds one rational
-back-substitution to reach the canonical witness (free variables pinned
-to zero) and a nullspace basis. The subset searches of ``helly.linear``
-call ``bareiss_update`` themselves, once per row and path of rows they
-reduce it by.
+(``bareiss_update``). ``echelon`` folds rows in order: each row is
+reduced by the pivot rows before it and pivots on its first nonzero
+column. ``rank`` is its pivot count, and ``solve_affine`` adds one
+rational back-substitution to reach the canonical witness (free
+variables pinned to zero) and a nullspace basis. The subset searches of
+``helly.linear`` fold their rows the same way along a path of index
+sets, calling ``bareiss_update`` themselves.
 
-Pivoting is deterministic: first nonzero entry in the leftmost unresolved
-column, no magnitude heuristics. Witnesses are therefore reproducible
-byte for byte.
+Pivoting is deterministic and needs no row swaps or magnitude
+heuristics. Each pivot row is zero in the pivot columns before it, so
+the ``r`` pivot columns are distinct leading columns of ``r`` vectors of
+the row space. That space has exactly ``r`` leading columns, so the
+pivot columns are the same set in any row order: the leftmost-pivot
+columns. The reduced echelon form is unique, so witnesses are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -36,45 +41,6 @@ Rat = Fraction
 def rat(num, den: int = 1) -> Rat:
     """Exact rational; ``Fraction`` keeps it reduced with positive denominator."""
     return Fraction(num, den)
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense row-major matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Rat, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Rat | int]]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        entries: list[Rat] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            entries.extend(Fraction(x) for x in row)
-        return RatMatrix(r, c, tuple(entries))
-
-    def at(self, i: int, j: int) -> Rat:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Rat, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Rat]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return RatMatrix(self.cols, self.rows, ents)
 
 
 def integer_row(row: Sequence[Rat | int]) -> list[int]:
@@ -101,44 +67,49 @@ def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) ->
     return out
 
 
-def bareiss(rows: Iterable[Sequence[Rat | int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of ``rows``, pivoting only within the
-    first ``ncols`` columns.
+def echelon(
+    rows: Iterable[Sequence[Rat | int]], ncols: int
+) -> tuple[list[tuple[list[int], int, int]], bool]:
+    """Fraction-free row echelon form of ``rows``, folded in row order,
+    pivoting only within the first ``ncols`` columns.
 
-    Each row is first scaled to integers by ``integer_row``. Later columns
-    (a right-hand side) are carried along but never pivoted on. Returns
-    the echelon rows and the pivot columns: row ``i`` is the pivot row of
-    ``pivots[i]``, and every row past the pivot rows is zero in the first
-    ``ncols`` columns.
+    Each row is scaled to integers by ``integer_row`` and reduced by the
+    pivot rows before it; its pivot is its first nonzero column among the
+    first ``ncols``. Later columns (a right-hand side) are carried along
+    but never pivoted on. Returns one ``(row, col, prev)`` record per
+    pivot row, ``prev`` being the pivot before it (1 at the first), and
+    whether every row without a pivot is zero in its later columns.
     """
-    a = [integer_row(row) for row in rows]
-    nrows = len(a)
-    pivots: list[int] = []
+    pivots: list[tuple[list[int], int, int]] = []
+    consistent = True
     prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        rowr = a[r]
-        for i in range(r + 1, nrows):
-            a[i] = bareiss_update(a[i], rowr, c, prev)
-        prev = rowr[c]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    for row in rows:
+        a = integer_row(row)
+        for top in pivots:
+            a = bareiss_update(a, *top)
+        c = next((c for c in range(ncols) if a[c]), None)
+        if c is not None:
+            pivots.append((a, c, prev))
+            prev = a[c]
+        elif any(a[ncols:]):
+            consistent = False
+    return pivots, consistent
 
 
-def rank(m: RatMatrix) -> int:
+def _check_width(rows: Sequence[Sequence[Rat | int]], ncols: int) -> None:
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+
+
+def rank(rows: Sequence[Sequence[Rat | int]]) -> int:
     """Exact rank over the rationals, by fraction-free elimination.
 
     Result is independent of row and column order; the empty matrix has
-    rank zero.
+    rank zero. Rows of unequal width raise ``ValueError``.
     """
-    return len(bareiss(m.to_rows(), m.cols)[1])
+    ncols = len(rows[0]) if rows else 0
+    _check_width(rows, ncols)
+    return len(echelon(rows, ncols)[0])
 
 
 @dataclass(frozen=True)
@@ -177,26 +148,30 @@ class AffineSolutionSet:
         if len(point) != len(self.point):
             raise ValueError("dimension mismatch")
         delta = tuple(Fraction(p) - q for p, q in zip(point, self.point))
-        span = rank(RatMatrix.from_rows(self.basis))
-        return span == rank(RatMatrix.from_rows(self.basis + (delta,)))
+        return rank(self.basis) == rank(self.basis + (delta,))
 
 
-def solve_affine(m: RatMatrix, rhs: Sequence[Rat]) -> AffineSolutionSet | None:
-    """Solve ``m x = rhs`` exactly; ``None`` when there is no solution.
+def solve_affine(
+    rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int], ncols: int
+) -> AffineSolutionSet | None:
+    """Solve ``rows x = rhs`` in ``ncols`` unknowns exactly; ``None`` when
+    there is no solution.
 
-    The witness point is the one with every free variable set to zero
-    under leftmost-pivot elimination, so repeated runs agree exactly.
+    The witness point is the one with every free variable set to zero,
+    so repeated runs agree exactly. Rows of a width other than ``ncols``
+    raise ``ValueError``.
     """
-    if len(rhs) != m.rows:
+    if len(rhs) != len(rows):
         raise ValueError("right-hand side length must equal row count")
-    ncols = m.cols
-    a, pivots = bareiss((m.row(i) + (Fraction(rhs[i]),) for i in range(m.rows)), ncols)
-    r = len(pivots)
-    if any(row[ncols] != 0 for row in a[r:]):
+    _check_width(rows, ncols)
+    found, consistent = echelon(((*row, b) for row, b in zip(rows, rhs)), ncols)
+    if not consistent:
         return None
+    pivots = [c for _, c, _ in found]
+    r = len(pivots)
     # Back-substitution to the reduced echelon form, which is unique, so
     # witness and basis do not depend on how the echelon form was reached.
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    red = [[Fraction(x, row[c]) for x in row] for row, c, _ in found]
     for i in range(r - 1, 0, -1):
         c = pivots[i]
         for h in range(i):

@@ -66,7 +66,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, RatMatrix, bareiss_update, integer_row, solve_affine
+from .exactq import AffineSolutionSet, Rat, bareiss_update, integer_row, solve_affine
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
 # Most walk nodes an inconsistent system may need: sum over s <= k + 1 of
@@ -261,8 +261,7 @@ def check_subsystem(system: LinearSystem, indices: Iterable[int]) -> AffineSolut
     is consistent with the whole space as witness.
     """
     eqs = [system.equations[i] for i in _validated_indices(system, indices)]
-    m = RatMatrix(len(eqs), system.unknowns, tuple(c for eq in eqs for c in eq.coeffs))
-    return solve_affine(m, tuple(eq.rhs for eq in eqs))
+    return solve_affine([eq.coeffs for eq in eqs], [eq.rhs for eq in eqs], system.unknowns)
 
 
 def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...] | None:

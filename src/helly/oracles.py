@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .disks import Disk
-from .exactq import RatMatrix
 from .linear import LinearSystem
 
 
@@ -39,9 +38,9 @@ def _forward(rows: list[list[Fraction]], ncols: int) -> int:
     return r
 
 
-def naive_rank(m: RatMatrix) -> int:
+def naive_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank as the pivot count of plain rational forward elimination."""
-    return _forward(m.to_rows(), m.cols)
+    return _forward([[Fraction(x) for x in row] for row in rows], len(rows[0]) if rows else 0)
 
 
 def _oracle_consistent(system: LinearSystem, indices: Sequence[int]) -> bool:

@@ -127,15 +127,20 @@ def test_cli_tetrahedron_certify_exit_one(tmp_path, capsys):
     assert out == {"verdict": "inconsistent", "subsystem": [0, 1, 2, 3]}
 
 
-@pytest.mark.parametrize("module", ["helly", "helly.cli"])
-def test_cli_runs_as_a_module(tmp_path, module):
-    # 0 = 0 and 0 = 3: the second equation alone is the certificate
+@pytest.mark.parametrize(
+    "flags, module",
+    [([], "helly"), ([], "helly.cli"), (["-O"], "helly")],
+    ids=["helly", "helly.cli", "helly-O"],
+)
+def test_cli_runs_as_a_module(tmp_path, flags, module):
+    # 0 = 0 and 0 = 3: the second equation alone is the certificate; -O
+    # strips every assert, which must never be the only guard of exactness
     path = tmp_path / "bad.json"
     path.write_text(dumps_linear(linear_system([[0], [0]], [0, 3])))
     src = str(Path(helly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", module, "linear", "certify", str(path)],
+        [sys.executable, *flags, "-m", module, "linear", "certify", str(path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 1, done.stderr
@@ -467,6 +472,23 @@ def test_cli_rechecks_an_inconsistent_certificate(tmp_path, capsys, monkeypatch)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: subsystem")
+
+
+def test_cli_rechecks_a_common_point(tmp_path, capsys, monkeypatch):
+    import helly.cli
+    from helly.disks import CommonPoint
+    from helly.radicals import qpoint
+
+    path = _gen(tmp_path, "helly-disks", "h.json", "--n", "6", "--seed", "1")
+    assert main(["disks", "check", str(path)]) == 0
+    capsys.readouterr()
+    # the planted family meets, but far from (10^6, 0)
+    monkeypatch.setattr(helly.cli, "minimalist_helly_check", lambda family: CommonPoint(qpoint(10**6, 0)))
+    for fmt in ("text", "json"):
+        assert main(["disks", "check", str(path), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
 
 
 def test_cli_refuses_an_oversized_certify_at_once(tmp_path, capsys):

@@ -203,7 +203,7 @@ def _late_system(seed: int):
 
 def _count_work(monkeypatch) -> dict[str, int]:
     """Count Bareiss row updates, in ``helly.linear`` and in the
-    whole-matrix elimination of ``helly.exactq``, and the rows that the
+    whole-system fold ``helly.exactq.echelon``, and the rows that the
     subset searches ask their path for (one per walk node)."""
     work = {"updates": 0, "nodes": 0}
     update = helly.exactq.bareiss_update
@@ -228,7 +228,9 @@ def test_certify_walk_work_golden(monkeypatch):
     # d = 1..5 = 6,884, plus the 11 size-6 nodes (0, 1, 2, 3, 4, j) for
     # j = 5..15. Each node below the root costs one update, its row
     # reduced once by its parent's pivot row: 6,895 - 16 = 6,879. The
-    # whole-system check adds 15 + 14 + 13 + 12 + 11 = 65.
+    # whole-system check folds the rows in order: rows 1 to 4 are reduced
+    # by the 1, 2, 3 and 4 pivot rows before them, and rows 5 to 15 by all
+    # five, 1 + 2 + 3 + 4 + 5 * 11 = 65.
     work = _count_work(monkeypatch)
     assert helly_certify(_late_system(1)) == Inconsistent((0, 1, 2, 3, 4, 15))
     assert work == {"nodes": 6895, "updates": 6879 + 65}
@@ -238,12 +240,13 @@ def test_certify_walk_never_extends_a_dependent_prefix(monkeypatch):
     # (0, 1) repeats x = 0, so it is not pushed and its children (0, 1, 2)
     # and (0, 1, 3) are never visited: 11 nodes instead of 13. Rows 1, 2
     # and 3 are reduced once below (0), row 3 once below (0, 2), rows 2
-    # and 3 once below (1) and row 3 once below (2): 7 updates; the
-    # whole-system check adds 3 + 2 = 5.
+    # and 3 once below (1) and row 3 once below (2): 7 updates. The
+    # whole-system check reduces rows 1 and 2 by pivot 0, and row 3 by
+    # pivots 0 and 1 (row 1 is zero and adds no pivot): 1 + 1 + 2 = 4.
     s = linear_system([[1, 0], [1, 0], [0, 1], [1, 1]], [0, 0, 0, 1])
     work = _count_work(monkeypatch)
     assert helly_certify(s) == Inconsistent((0, 2, 3))
-    assert work == {"nodes": 11, "updates": 7 + 5}
+    assert work == {"nodes": 11, "updates": 7 + 4}
 
 
 def _det(a) -> int:
