@@ -39,7 +39,7 @@ def main() -> None:
           f"bounded by {len(region.arcs)} arcs")
     verdict = minimalist_helly_check(grown)
     assert isinstance(verdict, CommonPoint)
-    print(f"  a common point: about {point_float(verdict.point)}")
+    print(f"  lowest common point: about {point_float(verdict.point)}")
     with open("three_disks_region.svg", "w", encoding="utf-8") as fh:
         fh.write(render_disks(grown, region=region))
     print("  wrote three_disks_region.svg")

@@ -32,6 +32,7 @@ MAX_PRECISION = 4096  # widest accepted --precision, in bits
 MAX_GEN_N = 100_000  # largest gen --n, for every kind
 MAX_GEN_K = 1_000  # largest gen --k, for the linear kinds
 MAX_TRIALS = 1_000_000  # largest linear sample --trials
+MAX_SVG_N = 160  # largest family disks svg draws: clipping is quadratic, ~10 s on a ring
 
 
 def _fail(message: str) -> int:
@@ -185,6 +186,8 @@ def _cmd_disks_check(args) -> int:
 def _cmd_disks_svg(args) -> int:
     _check_precision(args.precision)
     family = _load(args.path, "disks")
+    if len(family) > MAX_SVG_N:
+        raise ValueError(f"disks svg draws at most {MAX_SVG_N} disks, got {len(family)}")
     try:
         doc = _svg_doc(family, args.query, args.precision)
     except OverflowError:

@@ -7,40 +7,45 @@ exact rational comparison of squared quantities or by exact sign tests on
 circle-intersection coordinates; tangency is never detected by tolerance.
 
 The structural guarantee exercised here: for at least three disks, if
-every three of them meet then they all meet. ``minimalist_helly_check``
-clips the disks in order. When the clip by disk m empties the region R
-of the disks before it, the violating triple is read from R's relation
-to D_m, by the separation argument of the three-disk proof:
+every three of them meet then they all meet. Read as an LP-type problem
+(Amenta 1994), it is a statement about the lowest point of the
+intersection K, least y and then least x, which is unique because K is
+strictly convex. A nonempty K has its lowest point fixed by a basis of
+at most two disks (one disk's bottom, or a point on two circles), and an
+empty K already has an empty sub-family of at most three disks: a
+disjoint pair or a failing triple. ``minimalist_helly_check`` finds one
+or the other with the Sharir-Welzl walk (``_walk``) over a seeded order
+of the disks, without clipping.
 
-- R is a full disk f: f and D_m are disjoint, and the smallest index
-  not in {f, m} completes the triple.
-- R is a proper region: the line through R's point closest to D_m,
-  normal to the connecting segment, separates R from D_m
-  (``separation.separating_line``). At an arc interior point the line is
-  tangent to the arc's carrier, so that carrier misses D_m; the smallest
-  other index completes the triple. At a corner the lens of the two
-  carriers lies in the corner's tangent wedge, which the line also
-  separates from D_m.
-- R is a point p: the disks before m whose circles pass through p (the
-  carriers) are tried in pairs, in lexicographic order, with D_m. Some
-  pair fails: every carrier contains p, and every other disk before m
-  contains p in its interior, so if the carriers shared a second point
-  q, R would hold the points of the segment pq near p. So the carriers
-  meet only in p, which is not in D_m, and the three-disk statement on
-  the carriers and D_m gives a failing triple. It holds m, because any
-  three carriers meet at p.
+Step lemma. Let p be the lowest point of K, the intersection of some
+disks, and let p miss the disk D_h. Then the lowest point q of K ∩ D_h
+lies on h's circle. Proof: p and q lie in K, so the segment from q
+toward p stays in K, and its points near q are lower than q. Were q
+inside D_h, those points would lie in K ∩ D_h, against the choice of q.
+So h belongs to every basis of B + h, where B is a basis of K, and the
+new basis is one of (h,) and (b, h) for b in B: the one whose own lowest
+point is highest, because the lowest point of each subset lies at or
+below q and that of a basis lies on it (``_step``). If that point misses
+a disk of B + h, those two or three disks have no common point.
 
-Each candidate triple is confirmed by the exact ``triple_meet``. If none
-fails, the guarantee itself would be false, and the check aborts loudly.
+The walk ends with a point inside every disk that is the lowest point
+of a sub-family, so it is the lowest point of the whole family too.
+
+Prefix search. The violating triple must hold m, the first index whose
+prefix 0..m has no common point. When the walk returns an empty set F,
+its largest index M has an empty prefix 0..M, so m <= M. The walk over
+the disks before M either meets, and then m = M is in F, or returns an
+empty set F' whose largest index is below M, and the search goes on from
+F'. A pair F is completed by the smallest index outside it, and one
+``triple_meet`` confirms the triple.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
 from typing import Sequence, Union
 
 from .errors import InvariantViolation
@@ -48,10 +53,12 @@ from .exactq import Rat
 from .radicals import (
     QuadPoint,
     ccw_in_span,
-    point_lex_cmp,
+    qcmp,
     qpoint,
     quadval,
     same_point,
+    sign_of,
+    sign_one,
 )
 
 
@@ -115,10 +122,20 @@ def pair_relation(a: Disk, b: Disk) -> PairRelation:
 
 
 def disk_side(p: QuadPoint, d: Disk) -> int:
-    """-1 strictly inside, 0 on the boundary circle, +1 strictly outside."""
-    ux = p.x - d.x
-    uy = p.y - d.y
-    return (ux * ux + uy * uy - d.r * d.r).sign()
+    """-1 strictly inside, 0 on the boundary circle, +1 strictly outside.
+
+    The coordinates share one radicand e, so with u = p - center written
+    as (ux + bx*sqrt(e), uy + by*sqrt(e)), the power |u|^2 - r^2 is
+    A + B*sqrt(e) with A = ux^2 + uy^2 + (bx^2 + by^2)*e - r^2 and
+    B = 2*(ux*bx + uy*by): one ``sign_one`` call.
+    """
+    x, y = p.x, p.y
+    ux, uy = x.a - d.x, y.a - d.y
+    a = ux * ux + uy * uy - d.r * d.r
+    e = x.d or y.d
+    if not e:
+        return sign_of(a)
+    return sign_one(a + (x.b * x.b + y.b * y.b) * e, 2 * (ux * x.b + uy * y.b), e)
 
 
 def in_disk(p: QuadPoint, d: Disk) -> bool:
@@ -181,16 +198,6 @@ class ArcRegion:
 
     def contains(self, p: QuadPoint) -> bool:
         return all(in_disk(p, d) for d in self.family)
-
-    def representative_point(self) -> QuadPoint | None:
-        """A deterministic point of the region (lex-least corner for a
-        proper region, the center for a full disk)."""
-        if self.kind is RegionKind.EMPTY:
-            return None
-        if self.kind is RegionKind.FULL:
-            d = self.family[self.full_index]
-            return qpoint(d.x, d.y)
-        return min(self.corners(), key=cmp_to_key(point_lex_cmp))
 
 
 def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
@@ -315,11 +322,15 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
     return ArcRegion(family, RegionKind.REGION, arcs=tuple(out))
 
 
-def _clip_until_empty(disks: tuple[Disk, ...]) -> tuple[ArcRegion, int | None]:
-    """Clip the disks in order and stop before the first clip that would
-    empty the region. Returns the last nonempty region and the index of
-    the disk whose clip emptied it, or None when the whole family meets.
-    Duplicates are skipped (first occurrence kept)."""
+def intersect_region(family: Sequence[Disk]) -> ArcRegion:
+    """Intersection of every disk in the family, by incremental clipping.
+
+    Starts from the first disk as a full-disk region and clips with each
+    subsequent one, stopping once the region is empty. Duplicates are
+    removed up front (first occurrence kept); arc and full-disk indices
+    refer to the family as given.
+    """
+    disks = tuple(family)
     if not disks:
         raise ValueError("family must be nonempty")
     first: dict[Disk, int] = {}
@@ -328,23 +339,10 @@ def _clip_until_empty(disks: tuple[Disk, ...]) -> tuple[ArcRegion, int | None]:
     keep = list(first.values())
     region = ArcRegion(disks, RegionKind.FULL, full_index=keep[0])
     for idx in keep[1:]:
-        clipped = _clip(region, idx)
-        if clipped.is_empty:
-            return region, idx
-        region = clipped
-    return region, None
-
-
-def intersect_region(family: Sequence[Disk]) -> ArcRegion:
-    """Intersection of every disk in the family, by incremental clipping.
-
-    Starts from the first disk as a full-disk region and clips with each
-    subsequent one. Duplicates are removed up front (first occurrence
-    kept); arc and full-disk indices refer to the family as given.
-    """
-    disks = tuple(family)
-    region, emptied_by = _clip_until_empty(disks)
-    return region if emptied_by is None else ArcRegion(disks, RegionKind.EMPTY)
+        region = _clip(region, idx)
+        if region.is_empty:
+            break
+    return region
 
 
 # ---------------------------------------------------------------------------
@@ -394,39 +392,127 @@ class ViolatingTriple:
 MinimalistVerdict = Union[CommonPoint, ViolatingTriple]
 
 
-def minimalist_helly_check(family: Sequence[Disk]) -> MinimalistVerdict:
-    """Either a point common to every disk, or three disks with no common
-    point: a triple containing the disk whose clip emptied the region,
-    read from the closest feature (see the module docstring).
+WALK_SEED = 1992  # fixes the order of the walk, and so its work counts
 
-    Each triple is confirmed by ``triple_meet``. An empty intersection
-    with no failing candidate would contradict the three-disk guarantee,
-    so that case aborts loudly.
+
+def walk_order(n: int) -> list[int]:
+    """The order in which the walk visits disks 0..n-1: sorted by keys
+    drawn from ``random.Random(WALK_SEED).random()``, whose output Python
+    pins for a given seed. The first n keys do not depend on later ones,
+    so the order of a prefix is this order restricted to it."""
+    rng = random.Random(WALK_SEED)
+    keys = [rng.random() for _ in range(n)]
+    return sorted(range(n), key=keys.__getitem__)
+
+
+def _bottom(d: Disk) -> QuadPoint:
+    return qpoint(d.x, d.y - d.r)
+
+
+def _below(p: QuadPoint, q: QuadPoint) -> bool:
+    """Is p strictly lower than q: smaller y, or equal y and smaller x?"""
+    c = qcmp(p.y, q.y)
+    return c < 0 or (c == 0 and qcmp(p.x, q.x) < 0)
+
+
+def _pair_lowest(a: Disk, b: Disk) -> QuadPoint | None:
+    """Lowest point of a ∩ b, or None when the two are disjoint: a bottom
+    that lies in the other disk, or else the lower lens corner (both
+    corners are the touch point of an external osculation)."""
+    if pair_relation(a, b).kind is PairKind.DISJOINT:
+        return None
+    for c, o in ((a, b), (b, a)):
+        p = _bottom(c)
+        if in_disk(p, o):
+            return p
+    low, high = _lens_corners(a, b)
+    return high if _below(high, low) else low
+
+
+Basis = tuple[int, ...]
+
+
+def _step(disks: Sequence[Disk], basis: Basis, h: int) -> tuple[Basis, QuadPoint | None]:
+    """Basis and lowest point of basis + (h,), given that the lowest point
+    of ``basis`` misses disk h (the step lemma of the module docstring);
+    or an empty set of at most three of those disks, and None."""
+    best, point = (h,), _bottom(disks[h])
+    for b in basis:
+        q = _pair_lowest(disks[b], disks[h])
+        if q is None:
+            return (b, h), None
+        if _below(point, q):
+            best, point = (b, h), q
+    if all(in_disk(point, disks[i]) for i in basis if i not in best):
+        return best, point
+    return (*basis, h), None
+
+
+def _walk(family: Sequence[Disk], order: Sequence[int]) -> tuple[Basis, QuadPoint | None]:
+    """Lowest point of the disks of ``order`` and its basis, or an empty
+    set of at most three of them and None; indices refer to ``family``.
+
+    This is Sharir and Welzl's recursion lp(G, C), for a set G of disks
+    and a basis C inside it: with h the last disk of G outside C in the
+    walk order, B = lp(G - h, C), and then lp(G, basis(B + h)) when B's
+    lowest point misses h, else B. Unrolled, lp(G, C) tests the disks of
+    G outside C in order against the current point, and a violation by
+    disk e runs lp on the disks of G up to e and those of C after e, with
+    the new basis. An explicit stack of frames [G in walk order, next
+    test, C, current basis, its lowest point] replaces the recursion.
+    """
+    ds = [family[i] for i in order]
+    stack = [[range(len(ds)), 0, (0,), (0,), _bottom(ds[0])]]
+    while stack:
+        frame = stack[-1]
+        g, start, hint, basis, p = frame
+        for k in range(start, len(g)):
+            e = g[k]
+            if e in hint or in_disk(p, ds[e]):
+                continue
+            new, q = _step(ds, basis, e)
+            if q is None:
+                return tuple(sorted(order[i] for i in new)), None
+            frame[1] = k + 1
+            stack.append([[*g[: k + 1], *sorted(c for c in hint if c > e)], 0, new, new, q])
+            break
+        else:
+            stack.pop()
+            if stack:
+                stack[-1][3:] = [basis, p]
+    return tuple(order[i] for i in basis), p
+
+
+def minimalist_helly_check(family: Sequence[Disk]) -> MinimalistVerdict:
+    """Either the lowest point common to every disk (least y, then least
+    x), or three disks with no common point, among them the first disk m
+    whose prefix 0..m has none.
+
+    Both come from ``_walk`` over ``walk_order``; the triple from the
+    prefix search of the module docstring. One ``triple_meet`` confirms
+    the triple; an empty set from the walk that it does not confirm would
+    be a bug, and the check aborts loudly.
     """
     disks = tuple(family)
     if len(disks) < 3:
         raise ValueError("at least three disks required")
-    region, m = _clip_until_empty(disks)
-    if m is None:
-        return CommonPoint(region.representative_point())
-    if region.kind is RegionKind.FULL:
-        groups = [(region.full_index,)]
-    elif region.kind is RegionKind.POINT:
-        carriers = [i for i in range(m) if disk_side(region.point, disks[i]) == 0]
-        groups = combinations(carriers, 2)
-    else:
-        # separation imports this module, so it can only be imported here
-        from .separation import separating_line
-
-        groups = [separating_line(disks[m], region).carriers]
-    for group in groups:
-        ids = {*group, m}
-        if len(ids) < 3:
-            ids.add(min({0, 1, 2} - ids))
-        i, j, k = sorted(ids)
-        if not triple_meet(disks[i], disks[j], disks[k]):
-            return ViolatingTriple((i, j, k))
+    order = walk_order(len(disks))
+    empty, point = _walk(disks, order)
+    if point is not None:
+        return CommonPoint(point)
+    while True:
+        m = max(empty)
+        prefix_empty, point = _walk(disks, [i for i in order if i < m])
+        if point is not None:
+            break
+        empty = prefix_empty
+    ids = set(empty)
+    if len(ids) < 3:
+        ids.add(min({0, 1, 2} - ids))
+    i, j, k = sorted(ids)
+    if not triple_meet(disks[i], disks[j], disks[k]):
+        return ViolatingTriple((i, j, k))
     raise InvariantViolation(
-        "empty intersection but no triple named by the separation argument "
-        "fails; this contradicts the three-disk guarantee and indicates a bug"
+        f"the walk named disks {sorted(empty)} as having no common point, but "
+        f"triple {(i, j, k)} meets; this indicates a bug"
     )

@@ -6,7 +6,9 @@ one against the other. One plain forward rational elimination serves
 both the rank and the consistency oracle; the rest is exhaustive scans,
 gated to desk-scale sizes. The command line also re-checks every
 inconsistent certificate with ``is_minimal_inconsistent`` before it
-prints one.
+prints one. The disk oracles take the candidate points from the exact
+pair geometry of ``helly.disks`` but test membership with their own
+``QuadVal`` arithmetic.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .disks import Disk
+from .disks import Disk, PairKind, _lens_corners, pair_relation
 from .linear import LinearSystem
+from .radicals import QuadPoint, qcmp, qpoint
 
 
 def _forward(rows: list[list[Fraction]], ncols: int) -> int:
@@ -119,3 +122,30 @@ def grid_meet_oracle(family: Sequence[Disk], grid: GridSpec) -> tuple[Fraction, 
         if hit:
             return (x, y)
     return None
+
+
+def _inside(p: QuadPoint, d: Disk) -> bool:
+    ux, uy = p.x - d.x, p.y - d.y
+    return (ux * ux + uy * uy - d.r * d.r).sign() <= 0
+
+
+def lowest_common_point(family: Sequence[Disk]) -> QuadPoint | None:
+    """Lowest point common to every disk (least y, then least x), or None.
+
+    O(n^3) brute force. The lowest point of the intersection is the bottom
+    of a disk or a point where two circles cross or touch externally (at a
+    point where the circles only touch from inside, the innermost disk is
+    the intersection nearby, so the point is its bottom). So it is the
+    lowest of those candidates that lies in every disk.
+    """
+    candidates = [qpoint(d.x, d.y - d.r) for d in family]
+    for a, b in combinations(family, 2):
+        if pair_relation(a, b).kind in (PairKind.PROPER_LENS, PairKind.EXTERNAL_OSCULATION):
+            candidates.extend(_lens_corners(a, b))
+    best = None
+    for p in candidates:
+        if all(_inside(p, d) for d in family) and (
+            best is None or (qcmp(p.y, best.y), qcmp(p.x, best.x)) < (0, 0)
+        ):
+            best = p
+    return best

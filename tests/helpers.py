@@ -99,6 +99,17 @@ def lattice_family(rng, den=1) -> list[Disk]:
     return fam
 
 
+def ring_family(n) -> list[Disk]:
+    """n disks of radius 3/2 centred at rational points of the unit circle.
+    Each disk adds an arc to the intersection, so clipping them takes
+    quadratic time."""
+    out = []
+    for j in range(n):
+        t = Fraction(j - n // 2, 10)
+        out.append(disk((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t), Fraction(3, 2)))
+    return out
+
+
 def first_violating_triple(family) -> tuple[int, int, int] | None:
     """The lexicographically first triple of indices whose disks have no
     common point, by the exhaustive scan, or None when every three meet."""
@@ -109,6 +120,13 @@ def first_violating_triple(family) -> tuple[int, int, int] | None:
 
 
 # -- exact predicates used only by the tests ---------------------------------
+
+
+def quadval_disk_side(p: QuadPoint, d: Disk) -> int:
+    """Side of p against d (-1 inside, 0 on the circle, +1 outside) through
+    ``QuadVal`` arithmetic, the reference for the direct ``disk_side``."""
+    ux, uy = p.x - d.x, p.y - d.y
+    return (ux * ux + uy * uy - d.r * d.r).sign()
 
 
 def sign_nested(lin: QuadVal, c: Fraction, rad: QuadVal) -> int:

@@ -21,12 +21,19 @@ from helly import (
     triple_meet,
 )
 import helly.disks
-from helly.disks import disk_side
+from helly.disks import _lens_corners, disk_side, walk_order
 from helly.instances import gen_helly_disks, venn_triple
-from helly.oracles import GridSpec, grid_meet_oracle
+from helly.oracles import GridSpec, grid_meet_oracle, lowest_common_point
 from helly.radicals import QuadPoint, quadval
 from helly.separation import ArcInterior, separating_line
-from helpers import first_violating_triple, lattice_family, midpoint_side, random_family
+from helpers import (
+    first_violating_triple,
+    lattice_family,
+    midpoint_side,
+    quadval_disk_side,
+    random_family,
+    ring_family,
+)
 
 EPS = Fraction(1, 10**9)
 
@@ -119,6 +126,27 @@ def test_osculating_lens_is_single_point():
 
 def test_disjoint_lens_empty():
     assert pair_lens(disk(0, 0, 1), disk(5, 0, 1)).kind is RegionKind.EMPTY
+
+
+def test_disk_side_matches_the_quadval_form():
+    # lens corners lie on their own two circles, and lattice families put
+    # many of them on a third circle or at a tangency: sign 0 beside the
+    # two strict signs
+    rng = random.Random(14001)
+    signs = Counter()
+    for n in range(400):
+        fam = lattice_family(rng, den=1 + n % 2)
+        points = [qpoint(d.x, d.y - d.r) for d in fam]
+        for a, b in itertools.combinations(fam, 2):
+            if pair_relation(a, b).kind in (PairKind.PROPER_LENS, PairKind.EXTERNAL_OSCULATION):
+                points.extend(_lens_corners(a, b))
+        for p in points:
+            for d in fam:
+                side = disk_side(p, d)
+                assert side == quadval_disk_side(p, d), (p, d)
+                signs[side, p.x.d != 0 or p.y.d != 0] += 1
+    # every sign, at rational points and at points with a radical
+    assert set(signs) == {(s, r) for s in (-1, 0, 1) for r in (False, True)}, signs
 
 
 # -- intersect_region --------------------------------------------------------
@@ -366,6 +394,49 @@ def test_check_planted_families_have_verified_common_point():
         assert isinstance(verdict, CommonPoint)
         for d in fam:
             assert in_disk(verdict.point, d)
+
+
+def test_check_point_is_the_lowest_point_of_the_oracle():
+    rng = random.Random(14002)
+    verdicts = Counter()
+    for n in range(1200):
+        if n % 3 == 2:
+            fam = random_family(rng, n=rng.randint(3, 6), span=6, rhi=6)
+        else:
+            fam = lattice_family(rng, den=1 + n % 3)
+        verdict = minimalist_helly_check(fam)
+        lowest = lowest_common_point(fam)
+        verdicts[type(verdict).__name__] += 1
+        assert (lowest is None) == isinstance(verdict, ViolatingTriple), fam
+        if lowest is not None:
+            assert same_point(verdict.point, lowest), fam
+            # the lowest point does not depend on the input order
+            assert same_point(minimalist_helly_check(fam[::-1]).point, lowest), fam
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def test_walk_order_golden():
+    assert walk_order(10) == [8, 1, 7, 2, 6, 9, 0, 3, 4, 5]
+    # a prefix is walked in the order restricted to it
+    assert walk_order(6) == [i for i in walk_order(10) if i < 6]
+
+
+def test_check_work_on_a_ring_is_linear(monkeypatch):
+    # clipping these 200 disks takes quadratic time; the walk tests each
+    # disk a few times
+    calls = Counter()
+
+    def counted(p, d):
+        calls["in_disk"] += 1
+        return in_disk(p, d)
+
+    monkeypatch.setattr(helly.disks, "in_disk", counted)
+    fam = ring_family(200)
+    verdict = minimalist_helly_check(fam)
+    assert isinstance(verdict, CommonPoint)
+    assert calls["in_disk"] == 524
+    # the lowest point is the bottom of the disk centred at (0, 1)
+    assert same_point(verdict.point, qpoint(0, Fraction(-1, 2)))
 
 
 # -- the violating triple from the emptying clip -----------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helly
-from helly.cli import MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_TRIALS, main
+from helly.cli import MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_SVG_N, MAX_TRIALS, main
 from helly.instances import (
     dumps_disks,
     dumps_linear,
@@ -542,7 +542,7 @@ def _far_family(tmp_path):
 def test_cli_check_text_past_float_range(tmp_path, capsys):
     assert main(["disks", "check", str(_far_family(tmp_path))]) == 0
     line = capsys.readouterr().out.strip()
-    # the region's lex-least corner is the first centre
+    # the lowest common point is the first centre, the bottom of the third disk
     assert line == f"common point exists; certified near ({10**400}.333333, -0.142857)"
 
 
@@ -552,6 +552,20 @@ def test_cli_svg_past_float_range_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.rstrip().endswith("too large to draw")
     assert not out.exists()
+
+
+def test_cli_svg_refuses_a_family_past_the_cap(tmp_path, capsys):
+    # copies of one disk clip in no time, so the cap alone decides
+    for n, code in ((MAX_SVG_N, 0), (MAX_SVG_N + 1, 2)):
+        path = tmp_path / f"copies{n}.json"
+        path.write_text(dumps_disks([disk(0, 0, 1)] * n))
+        out = tmp_path / f"copies{n}.svg"
+        start = time.perf_counter()
+        assert main(["disks", "svg", str(path), "--out", str(out)]) == code
+        assert time.perf_counter() - start < 5
+        assert out.exists() == (code == 0)
+    captured = capsys.readouterr()
+    assert captured.err == f"error: disks svg draws at most {MAX_SVG_N} disks, got {MAX_SVG_N + 1}\n"
 
 
 def test_cli_check_text_rounds_like_the_float_format(tmp_path, capsys):
