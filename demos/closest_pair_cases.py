@@ -8,23 +8,13 @@ Run:  python demos/closest_pair_cases.py
 from fractions import Fraction
 
 from helly import disk, intersect_region, separating_line
-from helly.radicals import point_float, quad_float
 from helly.svg import render_disks
 
 
 def draw(fam, t, out):
     g = intersect_region(fam)
     sep = separating_line(t, g)
-    on_g = point_float(sep.point)
-    (xlo, xhi), (ylo, yhi) = sep.closest.on_t()
-    on_t = (float((xlo + xhi) / 2), float((ylo + yhi) / 2))
-    nx, ny = quad_float(sep.normal[0]), quad_float(sep.normal[1])
-    scale = 6 / max((nx * nx + ny * ny) ** 0.5, 1e-12)
-    line = (
-        (on_g[0] - ny * scale, on_g[1] + nx * scale),
-        (on_g[0] + ny * scale, on_g[1] - nx * scale),
-    )
-    doc = render_disks(fam + [t], region=g, query=len(fam), segment=(on_t, on_g), line=line)
+    doc = render_disks(fam + [t], region=g, query=len(fam), separation=sep)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     lo, hi = sep.closest.squared_distance()

@@ -39,7 +39,6 @@ from .disks import (
     in_disk,
     intersect_region,
     minimalist_helly_check,
-    pair_lens,
     pair_relation,
     triple_meet,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "intersect_region",
     "linear_system",
     "minimalist_helly_check",
-    "pair_lens",
     "pair_relation",
     "qcmp",
     "qpoint",

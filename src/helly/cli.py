@@ -4,7 +4,9 @@ Grammar: ``helly <linear|disks|gen> <subcommand> [flags]``. Exit codes
 form the complete contract: 0 success/consistent, 1 inconsistent or
 violating family, 2 input error, 3 internal error (a library invariant
 failed; never a verdict). Reports mirror the library types
-one-to-one so downstream tooling can parse certificates.
+one-to-one so downstream tooling can parse certificates. ``--precision``
+belongs to ``disks check`` alone, the one output that prints certified
+enclosures; ``disks svg`` leaves every drawn coordinate to ``helly.svg``.
 
 ``HELLY_THREADS`` caps internal parallelism; the current implementation
 executes serially, which respects any cap (0 means serial explicitly).
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import instances
@@ -23,7 +26,7 @@ from .instances import _rat_pair
 from .errors import InvariantViolation
 from .disks import CommonPoint, in_disk, intersect_region, minimalist_helly_check
 from .linear import Consistent, LinearSystem, helly_certify, sample_consistency
-from .radicals import point_bounds, point_float, quad_float
+from .radicals import point_bounds
 from .separation import separating_line
 from .svg import render_disks
 
@@ -86,6 +89,11 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _braces(indices) -> str:
+    """``indices`` sorted, in set braces: the text form of an index set."""
+    return "{" + ", ".join(str(i) for i in sorted(indices)) + "}"
+
+
 def _witness_doc(witness) -> dict:
     return {
         "point": [_rat_pair(x) for x in witness.point],
@@ -112,8 +120,7 @@ def _cmd_linear_certify(args) -> int:
     if args.format == "json":
         print(json.dumps({"verdict": "inconsistent", "subsystem": list(cert.subsystem)}))
     else:
-        idx = ", ".join(str(i) for i in cert.subsystem)
-        print(f"inconsistent; smallest inconsistent subsystem: equations {{{idx}}}")
+        print(f"inconsistent; smallest inconsistent subsystem: equations {_braces(cert.subsystem)}")
     return 1
 
 
@@ -122,23 +129,12 @@ def _cmd_linear_sample(args) -> int:
     system = _load(args.path, "linear")
     report = sample_consistency(system, args.size, args.trials, args.seed)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "samples_drawn": report.samples_drawn,
-                    "subsystem_size": report.subsystem_size,
-                    "inconsistent_samples": report.inconsistent_samples,
-                    "first_hit": list(report.first_hit) if report.first_hit else None,
-                    "seed": report.seed,
-                    "generator": report.generator,
-                }
-            )
-        )
+        print(json.dumps(asdict(report)))
     else:
         print(
             f"drew {report.samples_drawn} subsystems of size {report.subsystem_size}: "
             f"{report.inconsistent_samples} inconsistent"
-            + (f"; first hit {set(report.first_hit)}" if report.first_hit else "")
+            + (f"; first hit {_braces(report.first_hit)}" if report.first_hit else "")
             + f" (seed {report.seed}, generator {report.generator})"
         )
     return 0
@@ -179,17 +175,16 @@ def _cmd_disks_check(args) -> int:
     if args.format == "json":
         print(json.dumps({"verdict": "violating-triple", "triple": list(verdict.indices)}))
     else:
-        print(f"no common point; disks {set(verdict.indices)} already have none")
+        print(f"no common point; disks {_braces(verdict.indices)} already have none")
     return 1
 
 
 def _cmd_disks_svg(args) -> int:
-    _check_precision(args.precision)
     family = _load(args.path, "disks")
     if len(family) > MAX_SVG_N:
         raise ValueError(f"disks svg draws at most {MAX_SVG_N} disks, got {len(family)}")
     try:
-        doc = _svg_doc(family, args.query, args.precision)
+        doc = _svg_doc(family, args.query)
     except OverflowError:
         raise ValueError(f"{args.path}: coordinates too large to draw")
     _write(args.out, doc)
@@ -197,35 +192,24 @@ def _cmd_disks_svg(args) -> int:
     return 0
 
 
-def _svg_doc(family, query: int | None, precision: int) -> str:
+def _svg_doc(family, query: int | None) -> str:
     """The SVG of ``family``; with ``query``, also the closest pair and
     separating line between that disk and the others' intersection."""
-    if query is not None:
-        if query < 0 or query >= len(family):
-            raise ValueError(f"query index {query} out of range")
-        rest = [d for i, d in enumerate(family) if i != query]
-        if not rest:
-            raise ValueError("query needs at least one other disk")
-        region = intersect_region(rest)
-        if region.is_empty:
-            raise ValueError("the other disks have empty intersection; nothing to separate")
-        try:
-            sep = separating_line(family[query], region)
-        except ValueError as exc:
-            raise ValueError(f"query disk is not disjoint from the region: {exc}")
-        on_g = point_float(sep.point)
-        (tx_lo, tx_hi), (ty_lo, ty_hi) = sep.closest.on_t(precision)
-        on_t = (float((tx_lo + tx_hi) / 2), float((ty_lo + ty_hi) / 2))
-        segment = (on_t, on_g)
-        nx, ny = quad_float(sep.normal[0]), quad_float(sep.normal[1])
-        norm = max((nx * nx + ny * ny) ** 0.5, 1e-12)
-        # the line runs perpendicular to the normal, well past the scene
-        span = 4 * max(float(d.r) for d in family) + 10
-        dx, dy = -ny / norm * span, nx / norm * span
-        line = ((on_g[0] - dx, on_g[1] - dy), (on_g[0] + dx, on_g[1] + dy))
-        # region arcs index into `rest`, which is a prefix of the drawn family
-        return render_disks(rest + [family[query]], region=region, query=len(rest), segment=segment, line=line)
-    return render_disks(family, region=intersect_region(family))
+    if query is None:
+        return render_disks(family, region=intersect_region(family))
+    if query < 0 or query >= len(family):
+        raise ValueError(f"query index {query} out of range")
+    rest = [d for i, d in enumerate(family) if i != query]
+    if not rest:
+        raise ValueError("query needs at least one other disk")
+    region = intersect_region(rest)
+    if region.is_empty:
+        raise ValueError("the other disks have empty intersection; nothing to separate")
+    try:
+        sep = separating_line(family[query], region)
+    except ValueError as exc:
+        raise ValueError(f"query disk is not disjoint from the region: {exc}")
+    return render_disks(family, region, query=query, separation=sep)
 
 
 def _cmd_gen(args) -> int:
@@ -284,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     svg = disk_sub.add_parser("svg", help="draw the family and its intersection")
     svg.add_argument("path")
     svg.add_argument("--out", required=True)
-    svg.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     svg.add_argument("--query", type=int, default=None)
     svg.set_defaults(func=_cmd_disks_svg)
 

@@ -214,11 +214,6 @@ def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
     return ArcRegion(family, RegionKind.FULL, full_index=j if rel.inner == 1 else i)
 
 
-def pair_lens(a: Disk, b: Disk) -> ArcRegion:
-    """Two-disk intersection: a two-arc lens, a point, a full disk, or empty."""
-    return _pair_region(0, 1, (a, b))
-
-
 # ---------------------------------------------------------------------------
 # Incremental clipping
 

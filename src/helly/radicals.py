@@ -188,11 +188,6 @@ def same_point(p: QuadPoint, q: QuadPoint) -> bool:
     return qcmp(p.x, q.x) == 0 and qcmp(p.y, q.y) == 0
 
 
-def point_lex_cmp(p: QuadPoint, q: QuadPoint) -> int:
-    c = qcmp(p.x, q.x)
-    return c if c != 0 else qcmp(p.y, q.y)
-
-
 Vec = tuple[QuadVal, QuadVal]
 
 

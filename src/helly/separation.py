@@ -83,34 +83,36 @@ class ClosestPairResult:
     on_t_exact: QuadPoint | None
     gap_sq_exact: QuadVal | None
 
-    def squared_distance(self, bits: int = 53) -> Interval:
-        """Certified enclosure of the squared pair distance, width <= 2**-bits."""
-        if self.gap_sq_exact is not None:
-            return quad_bounds(self.gap_sq_exact, bits)
+    def _gap_enclosures(self, bits: int):
+        """Yield ``(work, (s_lo, s_hi), (r_lo, r_hi))``: enclosures of
+        ``center_gap_sq`` and of its square root at ``work`` bits, from
+        ``bits + 8`` on, doubling ``work`` on each step."""
         work = bits + 8
         while True:
             s_lo, s_hi = quad_bounds(self.center_gap_sq, work)
             r_lo, _ = sqrt_bounds(max(s_lo, Fraction(0)), work)
             _, r_hi = sqrt_bounds(s_hi, work)
-            rt = self.query.r
+            yield work, (s_lo, s_hi), (r_lo, r_hi)
+            work *= 2
+
+    def squared_distance(self, bits: int = 53) -> Interval:
+        """Certified enclosure of the squared pair distance, width <= 2**-bits."""
+        if self.gap_sq_exact is not None:
+            return quad_bounds(self.gap_sq_exact, bits)
+        rt = self.query.r
+        for _, (s_lo, s_hi), (r_lo, r_hi) in self._gap_enclosures(bits):
             lo = s_lo + rt * rt - 2 * rt * r_hi
             hi = s_hi + rt * rt - 2 * rt * r_lo
             if hi - lo <= Fraction(1, 2**bits):
                 return lo, hi
-            work *= 2
 
     def on_t(self, bits: int = 53) -> tuple[Interval, Interval]:
         """Certified enclosure of the closest point on the query boundary."""
         if self.on_t_exact is not None:
             return quad_bounds(self.on_t_exact.x, bits), quad_bounds(self.on_t_exact.y, bits)
         t = self.query
-        work = bits + 8
-        while True:
-            s_lo, s_hi = quad_bounds(self.center_gap_sq, work)
-            den_lo, _ = sqrt_bounds(max(s_lo, Fraction(0)), work)
-            _, den_hi = sqrt_bounds(s_hi, work)
+        for work, _, (den_lo, den_hi) in self._gap_enclosures(bits):
             if den_lo <= 0:
-                work *= 2
                 continue
             out = []
             for coord, c in ((self.on_g.x, t.x), (self.on_g.y, t.y)):
@@ -119,7 +121,6 @@ class ClosestPairResult:
                 out.append((c + t.r * min(quots), c + t.r * max(quots)))
             if all(hi - lo <= Fraction(1, 2**bits) for lo, hi in out):
                 return out[0], out[1]
-            work *= 2
 
 
 def _corner(t: Disk, corner: QuadPoint, i: int) -> ClosestPairResult:

@@ -1,7 +1,9 @@
 """Write-only SVG drawings of disk families and their intersection.
 
-Exact values are converted to floats here and nowhere else; the drawing
-is display output, never an input to any predicate.
+Exact values are converted to floats here and nowhere else, the ends of
+a query's closest-pair segment and its separating line included; the
+drawing is display output, never an input to any predicate. Outlines
+follow the family's input order.
 """
 
 from __future__ import annotations
@@ -9,7 +11,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .disks import ArcRegion, Disk, RegionKind
-from .radicals import cross_sign, point_float, vec_from
+from .radicals import cross_sign, point_float, quad_float, vec_from
+from .separation import SeparatingLine
+
+SIZE = 640  # px, the longer side of every drawing
 
 _STYLE_DISK = 'fill="none" stroke="#444444" stroke-width="1.5"'
 _STYLE_QUERY = 'fill="none" stroke="#b03030" stroke-width="2"'
@@ -59,15 +64,15 @@ def render_disks(
     family: Sequence[Disk],
     region: ArcRegion | None = None,
     query: int | None = None,
-    segment: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    line: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    size: int = 640,
+    separation: SeparatingLine | None = None,
 ) -> str:
+    """Outlines over the region, ``family[query]`` in red; a ``separation``
+    of that disk from the region adds the segment and the dashed line."""
     xs, ys = [], []
     for d in family:
         xs.extend([float(d.x - d.r), float(d.x + d.r)])
         ys.extend([float(d.y - d.r), float(d.y + d.r)])
-    cv = _Canvas(xs, ys, size)
+    cv = _Canvas(xs, ys, SIZE)
 
     body = []
     if region is not None and region.kind is RegionKind.FULL:
@@ -89,18 +94,23 @@ def render_disks(
             f'<circle cx="{cxp:.3f}" cy="{cyp:.3f}" r="{cv.length(float(d.r)):.3f}" {style}/>'
         )
 
-    if segment is not None:
-        (ax, ay), (bx, by) = segment
-        axp, ayp = cv.pt(ax, ay)
-        bxp, byp = cv.pt(bx, by)
+    if separation is not None:
+        on_g = point_float(separation.point)
+        (tx_lo, tx_hi), (ty_lo, ty_hi) = separation.closest.on_t(60)
+        on_t = (float((tx_lo + tx_hi) / 2), float((ty_lo + ty_hi) / 2))
+        axp, ayp = cv.pt(*on_t)
+        bxp, byp = cv.pt(*on_g)
         body.append(f'<line x1="{axp:.3f}" y1="{ayp:.3f}" x2="{bxp:.3f}" y2="{byp:.3f}" {_STYLE_SEGMENT}/>')
         body.append(f'<circle cx="{axp:.3f}" cy="{ayp:.3f}" r="2.5" fill="#1e8a1e"/>')
         body.append(f'<circle cx="{bxp:.3f}" cy="{byp:.3f}" r="2.5" fill="#1e8a1e"/>')
 
-    if line is not None:
-        (ax, ay), (bx, by) = line
-        axp, ayp = cv.pt(ax, ay)
-        bxp, byp = cv.pt(bx, by)
+        nx, ny = quad_float(separation.normal[0]), quad_float(separation.normal[1])
+        norm = max((nx * nx + ny * ny) ** 0.5, 1e-12)
+        # the line runs perpendicular to the normal, well past the scene
+        span = 4 * max(float(d.r) for d in family) + 10
+        dx, dy = -ny / norm * span, nx / norm * span
+        axp, ayp = cv.pt(on_g[0] - dx, on_g[1] - dy)
+        bxp, byp = cv.pt(on_g[0] + dx, on_g[1] + dy)
         body.append(f'<line x1="{axp:.3f}" y1="{ayp:.3f}" x2="{bxp:.3f}" y2="{byp:.3f}" {_STYLE_LINE}/>')
 
     head = (

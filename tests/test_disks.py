@@ -14,7 +14,6 @@ from helly import (
     in_disk,
     intersect_region,
     minimalist_helly_check,
-    pair_lens,
     pair_relation,
     qpoint,
     same_point,
@@ -102,7 +101,7 @@ def test_radius_must_be_positive():
 
 
 def test_unit_lens_corners_exact():
-    lens = pair_lens(disk(0, 0, 1), disk(1, 0, 1))
+    lens = intersect_region([disk(0, 0, 1), disk(1, 0, 1)])
     assert lens.kind is RegionKind.REGION
     assert len(lens.arcs) == 2
     lower = QuadPoint(quadval(Fraction(1, 2)), quadval(0, Fraction(-1, 2), 3))
@@ -115,17 +114,17 @@ def test_unit_lens_corners_exact():
 
 
 def test_identical_disks_lens_is_full_disk():
-    assert pair_lens(disk(0, 0, 1), disk(0, 0, 1)).kind is RegionKind.FULL
+    assert intersect_region([disk(0, 0, 1), disk(0, 0, 1)]).kind is RegionKind.FULL
 
 
 def test_osculating_lens_is_single_point():
-    lens = pair_lens(disk(0, 0, 1), disk(2, 0, 1))
+    lens = intersect_region([disk(0, 0, 1), disk(2, 0, 1)])
     assert lens.kind is RegionKind.POINT
     assert same_point(lens.point, qpoint(1, 0))
 
 
 def test_disjoint_lens_empty():
-    assert pair_lens(disk(0, 0, 1), disk(5, 0, 1)).kind is RegionKind.EMPTY
+    assert intersect_region([disk(0, 0, 1), disk(5, 0, 1)]).kind is RegionKind.EMPTY
 
 
 def test_disk_side_matches_the_quadval_form():

@@ -191,6 +191,33 @@ def test_cli_sample_deterministic_and_golden(tmp_path, capsys):
     assert payload["first_hit"] == [0, 1, 2, 3]
 
 
+def _text_braces(text: str) -> str:
+    return text[text.index("{") : text.index("}") + 1]
+
+
+def test_cli_text_index_sets_are_sorted(tmp_path, capsys):
+    # set order would print {9, 2, 5} and {8, 3} here
+    venn = iter(venn_triple())
+    radii = iter(range(10, 17))
+    fam = [next(venn) if i in (2, 5, 9) else disk(1, Fraction(7, 12), next(radii)) for i in range(10)]
+    disks_path = tmp_path / "fam.json"
+    disks_path.write_text(dumps_disks(fam))
+    system = linear_system([[1]] * 9, [0] * 8 + [1])
+    linear_path = tmp_path / "lin.json"
+    linear_path.write_text(dumps_linear(system))
+    sample = ["linear", "sample", str(linear_path), "--size", "2", "--trials", "20", "--seed", "3"]
+    for argv, key in (
+        (["disks", "check", str(disks_path)], "triple"),
+        (sample, "first_hit"),
+        (["linear", "certify", str(linear_path)], "subsystem"),
+    ):
+        main(argv)
+        text = capsys.readouterr().out
+        main([*argv, "--format", "json"])
+        indices = json.loads(capsys.readouterr().out)[key]
+        assert _text_braces(text) == "{" + ", ".join(str(i) for i in sorted(indices)) + "}"
+
+
 def test_cli_sample_size_too_large_is_input_error(tmp_path, capsys):
     path = _gen(tmp_path, "tetrahedron", "t.json")
     assert main(["linear", "sample", str(path), "--size", "9", "--trials", "5"]) == 2
@@ -268,6 +295,19 @@ def test_cli_svg_query_draws_segment_and_line(tmp_path, capsys):
     assert main(["disks", "svg", str(path), "--out", str(out), "--query", "2"]) == 0
     doc = out.read_text()
     assert doc.count("<line") == 2  # the segment plus the separating line
+    capsys.readouterr()
+
+
+def test_cli_svg_query_outlines_follow_input_order(tmp_path, capsys):
+    disks = [disk(4, 0, 1), disk(0, -1, Fraction(3, 2)), disk(0, 1, Fraction(3, 2))]
+    path = tmp_path / "corner.json"
+    path.write_text(dumps_disks(disks))
+    out = tmp_path / "corner.svg"
+    assert main(["disks", "svg", str(path), "--out", str(out), "--query", "0"]) == 0
+    outlines = [ln for ln in out.read_text().splitlines() if ln.startswith("<circle") and 'fill="none"' in ln]
+    assert len(outlines) == 3
+    assert 'stroke="#b03030"' in outlines[0]
+    assert all('stroke="#444444"' in ln for ln in outlines[1:])
     capsys.readouterr()
 
 
@@ -382,15 +422,23 @@ def test_cli_gen_zero_equations_keeps_unknowns(capsys):
 
 
 @pytest.mark.parametrize("bits", [-3, MAX_PRECISION + 1])
-@pytest.mark.parametrize("command", ["check", "svg"])
+@pytest.mark.parametrize("command", ["check"])
 def test_cli_precision_out_of_range_is_input_error(tmp_path, capsys, command, bits):
     path = tmp_path / "venn3.json"
     path.write_text(dumps_disks(venn_triple()))
-    out = tmp_path / "venn.svg"
-    extra = ["--out", str(out)] if command == "svg" else []
-    assert main(["disks", command, str(path), "--precision", str(bits), *extra]) == 2
+    assert main(["disks", command, str(path), "--precision", str(bits)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --precision")
+
+
+def test_cli_svg_takes_no_precision(tmp_path, capsys):
+    path = tmp_path / "venn3.json"
+    path.write_text(dumps_disks(venn_triple()))
+    out = tmp_path / "venn.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["disks", "svg", str(path), "--out", str(out), "--precision", "8"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,7 +10,6 @@ from helly.radicals import (
     _bilinear_coeffs,
     ccw_in_span,
     cross_sign,
-    point_lex_cmp,
     qcmp,
     qpoint,
     quad_bounds,
@@ -132,7 +131,6 @@ def test_same_point_across_representations():
     p = QuadPoint(quadval(0, 1, 8), quadval(1))
     q = QuadPoint(quadval(0, 2, 2), quadval(1))
     assert same_point(p, q)
-    assert point_lex_cmp(p, q) == 0
     assert not same_point(p, qpoint(2, 1))
 
 
