@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import instances
 from .instances import _rat_pair
 from .errors import InvariantViolation
-from .disks import CommonPoint, in_disk, intersect_region, minimalist_helly_check
+from .disks import CommonPoint, intersect_region, minimalist_helly_check
 from .linear import Consistent, LinearSystem, helly_certify, sample_consistency
 from .radicals import point_bounds
 from .separation import separating_line
@@ -159,8 +159,11 @@ def _cmd_disks_check(args) -> int:
     _check_precision(args.precision)
     family = _load(args.path, "disks")
     verdict = minimalist_helly_check(family)
+    # both re-checks use the oracle's own corner and side formulas
+    from .oracles import inside, lowest_common_point
+
     if isinstance(verdict, CommonPoint):
-        if not all(in_disk(verdict.point, d) for d in family):
+        if not all(inside(verdict.point, d) for d in family):
             raise InvariantViolation("common point failed the re-check against the family")
         if args.format == "json":
             print(
@@ -172,6 +175,11 @@ def _cmd_disks_check(args) -> int:
             fx, fy = (_decimal6((lo + hi) / 2) for lo, hi in point_bounds(verdict.point, 60))
             print(f"common point exists; certified near ({fx}, {fy})")
         return 0
+    i, j, k = verdict.indices
+    if not 0 <= i < j < k < len(family) or (
+        lowest_common_point([family[i], family[j], family[k]]) is not None
+    ):
+        raise InvariantViolation(f"triple {verdict.indices} failed the re-check: its disks meet")
     if args.format == "json":
         print(json.dumps({"verdict": "violating-triple", "triple": list(verdict.indices)}))
     else:

@@ -6,9 +6,16 @@ one against the other. One plain forward rational elimination serves
 both the rank and the consistency oracle; the rest is exhaustive scans,
 gated to desk-scale sizes. The command line also re-checks every
 inconsistent certificate with ``is_minimal_inconsistent`` before it
-prints one. The disk oracles take the candidate points from the exact
-pair geometry of ``helly.disks`` but test membership with their own
-``QuadVal`` arithmetic.
+prints one.
+
+The disk oracles share only the pair classifier ``pair_relation`` with
+``helly.disks``. They own the rational formulas for a lens corner
+(``_lens_corners``) and for the side of a point against a disk
+(``inside``), both on the ``QuadVal`` views of a point, as references
+for the production kernel rather than a second path through it. The
+command line re-checks a common point with ``inside`` against every
+disk, and a violating triple with ``lowest_common_point``, before it
+prints either.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .disks import Disk, PairKind, _lens_corners, pair_relation
+from .disks import Disk, PairKind, pair_relation
 from .linear import LinearSystem
-from .radicals import QuadPoint, qcmp, qpoint
+from .radicals import QuadPoint, qcmp, qpoint, quadval, sign_of, sign_one
 
 
 def _forward(rows: list[list[Fraction]], ncols: int) -> int:
@@ -124,9 +131,33 @@ def grid_meet_oracle(family: Sequence[Disk], grid: GridSpec) -> tuple[Fraction, 
     return None
 
 
-def _inside(p: QuadPoint, d: Disk) -> bool:
-    ux, uy = p.x - d.x, p.y - d.y
-    return (ux * ux + uy * uy - d.r * d.r).sign() <= 0
+def inside(p: QuadPoint, d: Disk) -> bool:
+    """Is p in the closed disk d? The coordinates share one radicand e,
+    so with u = p - center written as (ux + bx*sqrt(e), uy + by*sqrt(e)),
+    the power |u|^2 - r^2 is A + B*sqrt(e) with A = ux^2 + uy^2 +
+    (bx^2 + by^2)*e - r^2 and B = 2*(ux*bx + uy*by): one rational
+    ``sign_one``."""
+    x, y = p.x, p.y
+    ux, uy = x.a - d.x, y.a - d.y
+    a = ux * ux + uy * uy - d.r * d.r
+    e = x.d or y.d
+    if not e:
+        return sign_of(a) <= 0
+    return sign_one(a + (x.b * x.b + y.b * y.b) * e, 2 * (ux * x.b + uy * y.b), e) <= 0
+
+
+def _lens_corners(a: Disk, b: Disk) -> tuple[QuadPoint, QuadPoint]:
+    """The two points where the circles of a met pair cross or touch, in
+    rational arithmetic: the foot of the chord on the line of centres,
+    plus or minus the half chord along the normal."""
+    dx, dy = b.x - a.x, b.y - a.y
+    d2 = dx * dx + dy * dy
+    t = (d2 + a.r * a.r - b.r * b.r) / (2 * d2)
+    mx, my = a.x + t * dx, a.y + t * dy
+    s2 = (a.r * a.r - t * t * d2) / d2  # squared ratio half-chord / center gap
+    low = QuadPoint(quadval(mx, dy, s2), quadval(my, -dx, s2))
+    high = QuadPoint(quadval(mx, -dy, s2), quadval(my, dx, s2))
+    return low, high
 
 
 def lowest_common_point(family: Sequence[Disk]) -> QuadPoint | None:
@@ -144,7 +175,7 @@ def lowest_common_point(family: Sequence[Disk]) -> QuadPoint | None:
             candidates.extend(_lens_corners(a, b))
     best = None
     for p in candidates:
-        if all(_inside(p, d) for d in family) and (
+        if all(inside(p, d) for d in family) and (
             best is None or (qcmp(p.y, best.y), qcmp(p.x, best.x)) < (0, 0)
         ):
             best = p

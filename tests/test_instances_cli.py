@@ -539,6 +539,24 @@ def test_cli_rechecks_a_common_point(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("internal error:")
 
 
+@pytest.mark.parametrize("verdict", ["point", "triple"])
+def test_cli_rechecks_a_disk_verdict_with_the_oracle(tmp_path, capsys, monkeypatch, verdict):
+    import helly.cli
+    from helly.disks import CommonPoint, ViolatingTriple
+    from helly.radicals import qpoint
+
+    # disks 0, 1 and 2 meet at the origin, which disk 3 misses
+    path = tmp_path / "four.json"
+    path.write_text(dumps_disks([disk(0, 0, 2), disk(1, 0, 2), disk(0, 1, 2), disk(3, 0, 1)]))
+    wrong = CommonPoint(qpoint(0, 0)) if verdict == "point" else ViolatingTriple((0, 1, 2))
+    monkeypatch.setattr(helly.cli, "minimalist_helly_check", lambda family: wrong)
+    for fmt in ("text", "json"):
+        assert main(["disks", "check", str(path), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+
+
 def test_cli_refuses_an_oversized_certify_at_once(tmp_path, capsys):
     # 59 planted rows and one generic row in 6 unknowns: the walk could
     # test sum C(60, s) for s <= 7, about 4.4e8 subsets
