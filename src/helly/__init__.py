@@ -50,7 +50,7 @@ from .separation import (
     closest_pair,
     separating_line,
 )
-from .radicals import QuadPoint, QuadVal, qcmp, qpoint, quadval, same_point
+from .radicals import QuadPoint, QuadVal, qcmp, qpoint, quadpoint, quadval, same_point
 
 __version__ = "0.1.0"
 
@@ -94,6 +94,7 @@ __all__ = [
     "pair_relation",
     "qcmp",
     "qpoint",
+    "quadpoint",
     "quadval",
     "rank",
     "rat",

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .disks import Disk, PairKind, pair_relation
 from .linear import LinearSystem
-from .radicals import QuadPoint, qcmp, qpoint, quadval, sign_of, sign_one
+from .radicals import QuadPoint, qcmp, qpoint, quadpoint, quadval, sign_of, sign_one
 
 
 def _forward(rows: list[list[Fraction]], ncols: int) -> int:
@@ -155,8 +155,8 @@ def _lens_corners(a: Disk, b: Disk) -> tuple[QuadPoint, QuadPoint]:
     t = (d2 + a.r * a.r - b.r * b.r) / (2 * d2)
     mx, my = a.x + t * dx, a.y + t * dy
     s2 = (a.r * a.r - t * t * d2) / d2  # squared ratio half-chord / center gap
-    low = QuadPoint(quadval(mx, dy, s2), quadval(my, -dx, s2))
-    high = QuadPoint(quadval(mx, -dy, s2), quadval(my, dx, s2))
+    low = quadpoint(quadval(mx, dy, s2), quadval(my, -dx, s2))
+    high = quadpoint(quadval(mx, -dy, s2), quadval(my, dx, s2))
     return low, high
 
 

@@ -1,25 +1,36 @@
 """Exact sign arithmetic over one and two square roots.
 
 Two circles with rational centers and radii meet in points whose
-coordinates look like ``p + q*sqrt(d)`` with rational ``p, q, d``. Every
-question this package asks about such points (inside a disk? on which
-side? within an arc?) reduces to the sign of an expression carrying at
-most two distinct radicals,
+coordinates look like ``p + q*sqrt(d)`` with rational ``p, q, d``. A
+``QuadPoint`` keeps both coordinates as integer numerators over one
+positive denominator, with one integer radicand:
+((xa + xb*sqrt(d))/w, (ya + yb*sqrt(d))/w). Every question this package
+asks about such points (inside a disk? which is lower? within an arc?)
+reduces, after clearing positive denominators, to the sign of an integer
+expression carrying at most two distinct radicals,
 
     e0 + e1*sqrt(d1) + e2*sqrt(d2) + e3*sqrt(d1*d2),
 
 and such signs are decidable exactly by comparing squares with careful
 sign bookkeeping: ``sign_one`` for one radical, ``sign_quartic`` for the
-full form. No epsilon appears anywhere in this module. Floats never
-appear either; the dyadic helpers at the bottom emit certified [lo, hi]
-rational enclosures for display, which no predicate consumes.
+full form. The point predicates (``point_cmp``, ``same_point``,
+``ccw_in_span``) build no ``Fraction``: integers keep the gcd work of
+rational arithmetic out of the disk kernel. ``QuadVal``, the value
+``a + b*sqrt(d)`` with rational a and b and a tidied radicand, serves
+output, the separation query and the oracles; a point shows its
+coordinates as ``QuadVal`` through its ``x`` and ``y`` views.
+
+No epsilon appears anywhere in this module. Floats never appear either;
+the dyadic helpers at the bottom emit certified [lo, hi] rational
+enclosures for display, which no predicate consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 
 _SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -169,23 +180,112 @@ def qcmp(x: QuadVal, y: QuadVal) -> int:
 
 @dataclass(frozen=True)
 class QuadPoint:
-    """A plane point whose two coordinates share a single radicand."""
+    """The plane point ((xa + xb*sqrt(d))/w, (ya + yb*sqrt(d))/w): integer
+    numerators over one positive denominator w, with one radicand d >= 0.
 
-    x: QuadVal
-    y: QuadVal
+    The fields need not be reduced, so two equal points may differ in
+    them; compare points with ``same_point`` and ``point_cmp``. ``x`` and
+    ``y`` are the coordinates as ``QuadVal``, built on first use and then
+    kept; the predicates below never read them.
+    """
+
+    xa: int
+    xb: int
+    ya: int
+    yb: int
+    d: int
+    w: int
 
     def __post_init__(self) -> None:
-        if self.x.d != 0 and self.y.d != 0 and self.x.d != self.y.d:
-            raise ValueError("coordinates must share one radicand")
+        if self.w <= 0 or self.d < 0:
+            raise ValueError("a point needs a positive denominator and a nonnegative radicand")
+
+    @cached_property
+    def x(self) -> QuadVal:
+        return quadval(Fraction(self.xa, self.w), Fraction(self.xb, self.w), self.d)
+
+    @cached_property
+    def y(self) -> QuadVal:
+        return quadval(Fraction(self.ya, self.w), Fraction(self.yb, self.w), self.d)
 
 
 def qpoint(x, y) -> QuadPoint:
     """Point from plain rationals."""
-    return QuadPoint(quadval(x), quadval(y))
+    (xn, xd), (yn, yd) = Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio()
+    w = lcm(xd, yd)
+    return QuadPoint(xn * (w // xd), 0, yn * (w // yd), 0, 0, w)
+
+
+def quadpoint(x: QuadVal, y: QuadVal) -> QuadPoint:
+    """Point from two coordinates that share one radicand."""
+    d = x.d or y.d
+    if y.d not in (0, d):
+        raise ValueError("coordinates must share one radicand")
+    parts = (x.a, x.b, y.a, y.b)
+    w = lcm(*(v.denominator for v in parts))
+    xa, xb, ya, yb = (v.numerator * (w // v.denominator) for v in parts)
+    return QuadPoint(xa, xb, ya, yb, d, w)
+
+
+def _cmp(a1: int, b1: int, w1: int, d1: int, a2: int, b2: int, w2: int, d2: int) -> int:
+    """Sign of (a1 + b1*sqrt(d1))/w1 - (a2 + b2*sqrt(d2))/w2, for w1, w2 > 0:
+    the sign of w2*a1 - w1*a2 + w2*b1*sqrt(d1) - w1*b2*sqrt(d2)."""
+    e0 = w2 * a1 - w1 * a2
+    e1 = w2 * b1 if d1 else 0
+    e2 = w1 * b2 if d2 else 0
+    if not e1 or not e2 or d1 == d2:  # one radical left in the difference
+        return sign_one(e0, e1 - e2, d1 if e1 else d2)
+    return sign_quartic(e0, e1, -e2, 0, d1, d2)
+
+
+def point_cmp(p: QuadPoint, q: QuadPoint) -> int:
+    """-1, 0 or +1 as p comes before, at or after q by y, then by x."""
+    c = _cmp(p.ya, p.yb, p.w, p.d, q.ya, q.yb, q.w, q.d)
+    return c or _cmp(p.xa, p.xb, p.w, p.d, q.xa, q.xb, q.w, q.d)
 
 
 def same_point(p: QuadPoint, q: QuadPoint) -> bool:
-    return qcmp(p.x, q.x) == 0 and qcmp(p.y, q.y) == 0
+    return p is q or point_cmp(p, q) == 0
+
+
+def _arm(p: QuadPoint, cx: int, cy: int, m: int) -> tuple[int, int, int, int, int]:
+    """p minus the centre (cx/m, cy/m), scaled by the positive w*m: the
+    vector (ux + uxr*sqrt(d), uy + uyr*sqrt(d)) as (ux, uxr, uy, uyr, d)."""
+    return m * p.xa - p.w * cx, m * p.xb, m * p.ya - p.w * cy, m * p.yb, p.d
+
+
+def _turn(u: tuple, v: tuple) -> int:
+    """Sign of the cross product u x v of two ``_arm`` vectors."""
+    ux, uxr, uy, uyr, du = u
+    vx, vxr, vy, vyr, dv = v
+    e0 = ux * vy - uy * vx
+    e1 = uxr * vy - uyr * vx  # times sqrt(du)
+    e2 = ux * vyr - uy * vxr  # times sqrt(dv)
+    e3 = uxr * vyr - uyr * vxr  # times sqrt(du*dv)
+    if du == dv:
+        return sign_one(e0 + e3 * du, e1 + e2, du)
+    return sign_quartic(e0, e1, e2, e3, du, dv)
+
+
+def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Fraction) -> bool:
+    """Closed membership of x in the CCW arc span from a to b around the
+    rational centre (cx, cy). All three points are expected on one circle
+    centred there, and a and b must be distinct.
+
+    The arms from the centre are scaled by positive factors, which keeps
+    every turn's sign. x lies in the span when it turns left of a and b
+    left of x, for a span under a half turn; when either holds, for a
+    span over a half turn; and when x is left of a, for a half turn.
+    """
+    (xn, xd), (yn, yd) = cx.as_integer_ratio(), cy.as_integer_ratio()
+    m = lcm(xd, yd)
+    cx, cy = xn * (m // xd), yn * (m // yd)
+    u, va, vb = _arm(x, cx, cy, m), _arm(a, cx, cy, m), _arm(b, cx, cy, m)
+    s_ab, s_ax = _turn(va, vb), _turn(va, u)
+    if s_ab == 0 or (s_ab > 0) != (s_ax >= 0):
+        # a half turn, or a test of the pair that already settles it
+        return s_ax >= 0
+    return _turn(u, vb) >= 0
 
 
 Vec = tuple[QuadVal, QuadVal]
@@ -239,14 +339,6 @@ def vec_in_ccw_span(x: Vec, a: Vec, b: Vec) -> bool:
         return s_ax >= 0 or s_xb >= 0
     # a and b opposite: the span is the closed half turn on a's left.
     return s_ax >= 0
-
-
-def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Fraction) -> bool:
-    """Closed membership of x in the CCW arc span from a to b around (cx, cy).
-
-    All three points are expected on one circle centered there.
-    """
-    return vec_in_ccw_span(vec_from(x, cx, cy), vec_from(a, cx, cy), vec_from(b, cx, cy))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .radicals import (
     qcmp,
     qpoint,
     quad_bounds,
+    quadpoint,
     quadval,
     sqrt_bounds,
     vec_from,
@@ -146,11 +147,11 @@ def _foot(t: Disk, carrier: Disk, arc: Arc | None, i: int) -> ClosestPairResult 
             return None
     d2 = wx * wx + wy * wy
     r = carrier.r
-    on_g = QuadPoint(quadval(carrier.x, r * wx / d2, d2), quadval(carrier.y, r * wy / d2, d2))
+    on_g = quadpoint(quadval(carrier.x, r * wx / d2, d2), quadval(carrier.y, r * wy / d2, d2))
     # t's center outside the carrier circle: its nearest boundary point is
     # back toward the carrier; inside: away from it.
     sign = -1 if d2 > r * r else 1
-    on_t = QuadPoint(
+    on_t = quadpoint(
         quadval(t.x, sign * t.r * wx / d2, d2), quadval(t.y, sign * t.r * wy / d2, d2)
     )
     gap = quadval(sign * r, -sign, d2) - t.r  # |sqrt(d2) - r| - r_t

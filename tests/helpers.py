@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from helly import Disk, LinearSystem, disk, linear_system, triple_meet
 from helly.radicals import (
@@ -107,6 +108,52 @@ def ring_family(n) -> list[Disk]:
     for j in range(n):
         t = Fraction(j - n // 2, 10)
         out.append(disk((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t), Fraction(3, 2)))
+    return out
+
+
+def first_primes(n, start=11) -> list[int]:
+    """The first n primes from ``start`` on, by trial division."""
+    out, k = [], start
+    while len(out) < n:
+        if k > 1 and all(k % q for q in range(2, isqrt(k) + 1)):
+            out.append(k)
+        k += 1
+    return out
+
+
+# rational unit vectors, for tangent disks at rational distances
+DIRECTIONS = [
+    (Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(-5, 13), Fraction(12, 13)),
+    (Fraction(8, 17), Fraction(-15, 17)),
+]
+
+
+def prime_family(rng, n, planted=False) -> list[Disk]:
+    """n disks, the j-th with centre and radius over the j-th prime from 11
+    on: centres in [-2, 2]^2, radii in [1, 5]. A planted family contains
+    the origin, since each radius is at least the L1 norm of its centre.
+    Otherwise one disk in three after the first touches an earlier one,
+    from outside or from inside, along one of ``DIRECTIONS``; its
+    denominator then also holds the earlier disk's and the direction's."""
+    out = []
+    for p in first_primes(n):
+        x, y = (Fraction(rng.randint(-2 * p, 2 * p), p) for _ in range(2))
+        r = Fraction(rng.randint(p, 5 * p), p)
+        if planted:
+            r += abs(x) + abs(y)
+        elif out and rng.random() < 1 / 3:
+            a = rng.choice(out)
+            ux, uy = rng.choice(DIRECTIONS)
+            if rng.random() < 0.5:
+                gap = a.r + r  # osculation
+            else:
+                r = a.r * Fraction(rng.randint(1, p - 1), p)
+                gap = a.r - r  # internal tangency
+            x, y = a.x + gap * ux, a.y + gap * uy
+        out.append(Disk(x, y, r))
     return out
 
 

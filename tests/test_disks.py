@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -20,15 +21,17 @@ from helly import (
     triple_meet,
 )
 import helly.disks
+import helly.radicals
 from helly.disks import _lens_corners, disk_side, walk_order
 from helly.instances import gen_helly_disks, venn_triple
-from helly.oracles import GridSpec, grid_meet_oracle, lowest_common_point
-from helly.radicals import QuadPoint, quadval
+from helly.oracles import GridSpec, grid_meet_oracle, inside, lowest_common_point
+from helly.radicals import quadpoint, quadval
 from helly.separation import ArcInterior, separating_line
 from helpers import (
     first_violating_triple,
     lattice_family,
     midpoint_side,
+    prime_family,
     quadval_disk_side,
     random_family,
     ring_family,
@@ -104,8 +107,8 @@ def test_unit_lens_corners_exact():
     lens = intersect_region([disk(0, 0, 1), disk(1, 0, 1)])
     assert lens.kind is RegionKind.REGION
     assert len(lens.arcs) == 2
-    lower = QuadPoint(quadval(Fraction(1, 2)), quadval(0, Fraction(-1, 2), 3))
-    upper = QuadPoint(quadval(Fraction(1, 2)), quadval(0, Fraction(1, 2), 3))
+    lower = quadpoint(quadval(Fraction(1, 2)), quadval(0, Fraction(-1, 2), 3))
+    upper = quadpoint(quadval(Fraction(1, 2)), quadval(0, Fraction(1, 2), 3))
     assert same_point(lens.arcs[0].start, lower)
     assert same_point(lens.arcs[0].end, upper)
     assert same_point(lens.arcs[1].start, upper)
@@ -531,3 +534,59 @@ def test_check_confirms_one_triple_after_a_late_emptying_clip(monkeypatch):
     assert minimalist_helly_check(ring + venn) == ViolatingTriple((20, 21, 22))
     # the exhaustive scan reaches (20, 21, 22) only at its last, C(23, 3) = 1771st, triple
     assert len(calls) == 1
+
+
+# -- the integer kernel ------------------------------------------------------
+
+
+def test_mixed_denominators_against_the_oracle():
+    # every disk over its own prime, and tangent pairs between disks over
+    # different denominators
+    rng = random.Random(16001)
+    seen = Counter()
+    for _ in range(300):
+        fam = prime_family(rng, rng.randint(3, 8))
+        for a, b in itertools.combinations(fam, 2):
+            seen[pair_relation(a, b).kind] += 1
+        verdict = minimalist_helly_check(fam)
+        lowest = lowest_common_point(fam)
+        seen[type(verdict).__name__] += 1
+        assert (lowest is None) == isinstance(verdict, ViolatingTriple), fam
+        if lowest is not None:
+            assert same_point(verdict.point, lowest), fam
+        else:
+            assert lowest_common_point([fam[i] for i in verdict.indices]) is None, fam
+        region = intersect_region(fam)
+        assert region.is_empty == (lowest is None), fam
+        for c in region.corners():
+            assert all(inside(c, d) for d in fam), fam
+    assert seen[PairKind.EXTERNAL_OSCULATION] > 20 and seen[PairKind.INTERNAL_TANGENCY] > 20, seen
+    assert min(seen["CommonPoint"], seen["ViolatingTriple"]) > 50, seen
+
+
+def test_six_hundred_prime_denominators_stay_fast():
+    # every pair of these disks works over the product of two primes; one
+    # common denominator for the whole family would have 6,000 bits
+    fam = prime_family(random.Random(16002), 600, planted=True)
+    start = time.process_time()
+    region = intersect_region(fam)
+    verdict = minimalist_helly_check(fam)
+    assert time.process_time() - start < 15
+    assert region.kind is RegionKind.REGION
+    assert isinstance(verdict, CommonPoint)
+    assert all(inside(verdict.point, d) for d in fam)
+
+
+def test_kernel_builds_no_quadval(monkeypatch):
+    ring, planted = ring_family(40), gen_helly_disks(2000, 1)
+    calls = Counter()
+    normalize = helly.radicals._normalize
+
+    def counted(*args):
+        calls["normalize"] += 1
+        return normalize(*args)
+
+    monkeypatch.setattr(helly.radicals, "_normalize", counted)
+    assert len(intersect_region(ring).arcs) == 40
+    assert isinstance(minimalist_helly_check(planted), CommonPoint)
+    assert calls["normalize"] == 0

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly.radicals import (
-    QuadPoint,
     _bilinear_coeffs,
     ccw_in_span,
     cross_sign,
     qcmp,
     qpoint,
     quad_bounds,
+    quadpoint,
     quadval,
     same_point,
     sign_one,
@@ -128,8 +128,8 @@ def test_sign_nested():
 
 
 def test_same_point_across_representations():
-    p = QuadPoint(quadval(0, 1, 8), quadval(1))
-    q = QuadPoint(quadval(0, 2, 2), quadval(1))
+    p = quadpoint(quadval(0, 1, 8), quadval(1))
+    q = quadpoint(quadval(0, 2, 2), quadval(1))
     assert same_point(p, q)
     assert not same_point(p, qpoint(2, 1))
 
@@ -155,8 +155,8 @@ def test_vec_in_ccw_span_quadrants():
 
 def test_ccw_in_span_on_circle_with_radical_points():
     # unit circle around origin; corners of the two-unit-disk lens
-    a = QuadPoint(quadval(Fraction(1, 2)), quadval(0, -1, Fraction(3, 4)))
-    b = QuadPoint(quadval(Fraction(1, 2)), quadval(0, 1, Fraction(3, 4)))
+    a = quadpoint(quadval(Fraction(1, 2)), quadval(0, -1, Fraction(3, 4)))
+    b = quadpoint(quadval(Fraction(1, 2)), quadval(0, 1, Fraction(3, 4)))
     east = qpoint(1, 0)
     west = qpoint(-1, 0)
     assert ccw_in_span(east, a, b, Fraction(0), Fraction(0))

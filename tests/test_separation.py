@@ -21,7 +21,7 @@ from helly import (
     triple_meet,
 )
 from helly.disks import RegionKind
-from helly.radicals import QuadPoint, qcmp, vec_from, vec_in_ccw_span
+from helly.radicals import qcmp, quadpoint, vec_from, vec_in_ccw_span
 from helpers import beyond_foot_sign, lattice_family, random_family, sign_nested
 
 
@@ -45,7 +45,7 @@ def test_corner_closest_golden():
     t = disk(4, 0, 1)
     res = closest_pair(t, g)
     assert isinstance(res.feature, Corner)
-    expected = QuadPoint(quadval(0, Fraction(1, 2), 5), quadval(0))
+    expected = quadpoint(quadval(0, Fraction(1, 2), 5), quadval(0))
     assert same_point(res.on_g, expected)
     # squared pair distance encloses (4 - sqrt(5)/2 - 1)^2
     lo, hi = res.squared_distance(40)
