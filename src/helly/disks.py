@@ -87,11 +87,10 @@ class Disk:
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError("radius must be strictly positive")
-        ratios = [v.as_integer_ratio() for v in (self.x, self.y, self.r)]
-        m = lcm(*(den for _, den in ratios))
-        for name, (num, den) in zip("XYR", ratios):
-            object.__setattr__(self, name, num * (m // den))
-        object.__setattr__(self, "M", m)
+        (xn, xd), (yn, yd), (rn, rd) = (v.as_integer_ratio() for v in (self.x, self.y, self.r))
+        m = lcm(xd, yd, rd)
+        # the instance is frozen, so the derived fields go straight into its dict
+        vars(self).update(X=xn * (m // xd), Y=yn * (m // yd), R=rn * (m // rd), M=m)
 
 
 def disk(x, y, r) -> Disk:
