@@ -566,7 +566,7 @@ def test_mixed_denominators_against_the_oracle():
 
 def test_six_hundred_prime_denominators_stay_fast():
     # every pair of these disks works over the product of two primes; one
-    # common denominator for the whole family would have 6,000 bits
+    # common denominator for the whole family would have about 6,300 bits
     fam = prime_family(random.Random(16002), 600, planted=True)
     start = time.process_time()
     region = intersect_region(fam)
