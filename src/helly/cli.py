@@ -8,6 +8,11 @@ one-to-one so downstream tooling can parse certificates. ``--precision``
 belongs to ``disks check`` alone, the one output that prints certified
 enclosures; ``disks svg`` leaves every drawn coordinate to ``helly.svg``.
 
+Each call builds the argparse parser of the one command ``argv`` names,
+a single ``ArgumentParser``. The whole eight-parser tree is built only
+when top-level help or a usage error needs it. Both are built from one
+table, ``_COMMANDS``.
+
 ``HELLY_THREADS`` caps internal parallelism; the current implementation
 executes serially, which respects any cap (0 means serial explicitly).
 """
@@ -220,23 +225,23 @@ def _svg_doc(family, query: int | None) -> str:
     return render_disks(family, region, query=query, separation=sep)
 
 
+# gen kind -> its instance; the keys are gen's choices
+_GENERATORS = {
+    "tetrahedron": lambda a: instances.tetrahedral_system(),
+    "random-linear": lambda a: instances.gen_random_linear(a.n, a.k, a.seed),
+    "consistent-linear": lambda a: instances.gen_consistent_linear(a.n, a.k, a.seed),
+    "random-disks": lambda a: instances.gen_random_disks(a.n, a.seed),
+    "helly-disks": lambda a: instances.gen_helly_disks(a.n, a.seed),
+}
+
+
 def _cmd_gen(args) -> int:
-    kind = args.kind
     _check_at_most("--n", args.n, MAX_GEN_N)
-    if kind.endswith("-linear"):
+    if args.kind.endswith("-linear"):
         _check_at_most("--k", args.k, MAX_GEN_K)
-    if kind == "tetrahedron":
-        text = instances.dumps_linear(instances.tetrahedral_system())
-    elif kind == "random-linear":
-        text = instances.dumps_linear(instances.gen_random_linear(args.n, args.k, args.seed))
-    elif kind == "consistent-linear":
-        text = instances.dumps_linear(instances.gen_consistent_linear(args.n, args.k, args.seed))
-    elif kind == "random-disks":
-        text = instances.dumps_disks(instances.gen_random_disks(args.n, args.seed))
-    elif kind == "helly-disks":
-        text = instances.dumps_disks(instances.gen_helly_disks(args.n, args.seed))
-    else:  # argparse choices already reject this
-        raise ValueError(f"unknown generator kind {kind!r}")
+    made = _GENERATORS[args.kind](args)
+    dumps = instances.dumps_linear if isinstance(made, LinearSystem) else instances.dumps_disks
+    text = dumps(made)
     if args.out:
         _write(args.out, text)
         print(f"wrote {args.out}")
@@ -245,57 +250,97 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _arg(*names, **keywords) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return names, keywords
+
+
+_PATH = _arg("path")
+_SEED = _arg("--seed", type=int, default=0)
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+
+# name path -> (help, handler, arguments); a group, whose handler is None,
+# names its commands by the longer paths. Both parsers are built from this
+# one table, in its order.
+_COMMANDS = {
+    ("linear",): ("overdetermined linear systems", None, ()),
+    ("linear", "certify"): ("consistency verdict with certificate", _cmd_linear_certify, (
+        _PATH,
+        _FORMAT,
+    )),
+    ("linear", "sample"): ("randomized subsystem sampling", _cmd_linear_sample, (
+        _PATH,
+        _arg("--size", type=int, required=True),
+        _arg("--trials", type=int, required=True),
+        _SEED,
+        _FORMAT,
+    )),
+    ("disks",): ("planar disk families", None, ()),
+    ("disks", "check"): ("common point or violating triple", _cmd_disks_check, (
+        _PATH,
+        _arg("--precision", type=int, default=DEFAULT_PRECISION),
+        _FORMAT,
+    )),
+    ("disks", "svg"): ("draw the family and its intersection", _cmd_disks_svg, (
+        _PATH,
+        _arg("--out", required=True),
+        _arg("--query", type=int, default=None),
+    )),
+    ("gen",): ("write instance files", _cmd_gen, (
+        _arg("kind", choices=tuple(_GENERATORS)),
+        _arg("--n", type=int, default=8),
+        _arg("--k", type=int, default=3),
+        _SEED,
+        _arg("--out", default=None),
+    )),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, handler, arguments) -> None:
+    for names, keywords in arguments:
+        parser.add_argument(*names, **keywords)
+    parser.set_defaults(func=handler)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: for help and usage errors alone."""
     parser = argparse.ArgumentParser(
         prog="helly",
         description="Exact feasibility certificates for linear systems and disk families.",
     )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    linear = top.add_parser("linear", help="overdetermined linear systems")
-    lin_sub = linear.add_subparsers(dest="command", required=True)
-    certify = lin_sub.add_parser("certify", help="consistency verdict with certificate")
-    certify.add_argument("path")
-    certify.add_argument("--format", choices=("text", "json"), default="text")
-    certify.set_defaults(func=_cmd_linear_certify)
-    sample = lin_sub.add_parser("sample", help="randomized subsystem sampling")
-    sample.add_argument("path")
-    sample.add_argument("--size", type=int, required=True)
-    sample.add_argument("--trials", type=int, required=True)
-    sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--format", choices=("text", "json"), default="text")
-    sample.set_defaults(func=_cmd_linear_sample)
-
-    disks = top.add_parser("disks", help="planar disk families")
-    disk_sub = disks.add_subparsers(dest="command", required=True)
-    check = disk_sub.add_parser("check", help="common point or violating triple")
-    check.add_argument("path")
-    check.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.set_defaults(func=_cmd_disks_check)
-    svg = disk_sub.add_parser("svg", help="draw the family and its intersection")
-    svg.add_argument("path")
-    svg.add_argument("--out", required=True)
-    svg.add_argument("--query", type=int, default=None)
-    svg.set_defaults(func=_cmd_disks_svg)
-
-    gen = top.add_parser("gen", help="write instance files")
-    gen.add_argument(
-        "kind",
-        choices=("tetrahedron", "random-linear", "consistent-linear", "random-disks", "helly-disks"),
-    )
-    gen.add_argument("--n", type=int, default=8)
-    gen.add_argument("--k", type=int, default=3)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=None)
-    gen.set_defaults(func=_cmd_gen)
+    commands = {(): parser.add_subparsers(dest="group", required=True)}
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        sub = commands[name[:-1]].add_parser(name[-1], help=help_text)
+        if handler is None:
+            commands[name] = sub.add_subparsers(dest="command", required=True)
+        else:
+            _add_arguments(sub, handler, arguments)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the one command it names.
+
+    The leaf's prog is the one argparse gives the same parser inside the
+    tree, so its help and errors read the same. Leftover words, and argv
+    that names no command, go to the whole tree, which words the error.
+    """
+    for name in (tuple(argv[:2]), tuple(argv[:1])):
+        _, handler, arguments = _COMMANDS.get(name, (None, None, ()))
+        if handler is not None:
+            leaf = argparse.ArgumentParser(prog=" ".join(("helly", *name)))
+            _add_arguments(leaf, handler, arguments)
+            args, extra = leaf.parse_known_args(argv[len(name):])
+            if not extra:
+                return args
+            break
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         _read_threads_cap()
         return args.func(args)
     except ValueError as exc:

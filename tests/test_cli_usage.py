@@ -10,6 +10,7 @@ argparse messages differently. Rewrite it with
 that means to alter what the CLI prints.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,7 @@ import pathlib
 import pytest
 
 from helly.cli import main
+from helly.instances import dumps_disks, dumps_linear, tetrahedral_system, venn_triple
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_usage_golden.json"
 COLUMNS = (80, 30)
@@ -79,6 +81,49 @@ def test_help_and_usage_errors_match_the_golden(columns, argv, monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     monkeypatch.setenv("COLUMNS", str(columns))
     assert _run(argv) == golden[_key(columns, argv)]
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, capsys):
+    linear, disks = tmp_path / "t.json", tmp_path / "v.json"
+    linear.write_text(dumps_linear(tetrahedral_system()))
+    disks.write_text(dumps_disks(venn_triple()))
+    built = _count_parsers(monkeypatch)
+    for argv, code in (
+        (["linear", "certify", str(linear)], 1),
+        (["linear", "sample", str(linear), "--size", "3", "--trials", "5"], 0),
+        (["disks", "check", str(disks), "--format", "json"], 1),
+        (["disks", "svg", str(disks), "--out", str(tmp_path / "v.svg")], 0),
+        (["gen", "tetrahedron"], 0),
+    ):
+        built.clear()
+        assert main(argv) == code
+        assert built == [" ".join(("helly", *argv[: 1 if argv[0] == "gen" else 2]))]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [(["-h"], 8), (["linear"], 8), (["linear", "certify", "p", "extra"], 1 + 8)],
+    ids=["top-help", "no-command", "leftover-words"],
+)
+def test_help_and_usage_errors_build_the_whole_tree(argv, parsers, monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert len(built) == parsers
+    capsys.readouterr()
 
 
 if __name__ == "__main__":

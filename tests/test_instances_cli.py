@@ -128,11 +128,11 @@ def test_cli_tetrahedron_certify_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, module",
-    [([], "helly"), ([], "helly.cli"), (["-O"], "helly")],
-    ids=["helly", "helly.cli", "helly-O"],
+    "flags, module, argv",
+    [([], "helly", None), ([], "helly.cli", None), (["-O"], "helly", None), ([], "helly", ["--help"])],
+    ids=["helly", "helly.cli", "helly-O", "helly-help"],
 )
-def test_cli_runs_as_a_module(tmp_path, flags, module):
+def test_cli_runs_as_a_module(tmp_path, flags, module, argv):
     # 0 = 0 and 0 = 3: the second equation alone is the certificate; -O
     # strips every assert, which must never be the only guard of exactness
     path = tmp_path / "bad.json"
@@ -140,12 +140,16 @@ def test_cli_runs_as_a_module(tmp_path, flags, module):
     src = str(Path(helly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, *flags, "-m", module, "linear", "certify", str(path)],
+        [sys.executable, *flags, "-m", module, *(argv or ["linear", "certify", str(path)])],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == "inconsistent; smallest inconsistent subsystem: equations {1}\n"
     assert done.stderr == ""
+    if argv:
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: helly")
+    else:
+        assert done.returncode == 1
+        assert done.stdout == "inconsistent; smallest inconsistent subsystem: equations {1}\n"
 
 
 def test_cli_gen_tetrahedron_matches_builtin(tmp_path):
@@ -353,6 +357,15 @@ def test_cli_gen_to_stdout(capsys):
     assert main(["gen", "tetrahedron"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["kind"] == "linear"
+
+
+def test_cli_reads_its_words_from_sys_argv(monkeypatch, capsys):
+    # the console script calls main() with no argv, as entry() does
+    assert main(["gen", "tetrahedron"]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["helly", "gen", "tetrahedron"])
+    assert main() == 0
+    assert capsys.readouterr() == expected
 
 
 def test_cli_threads_env_validated(tmp_path, capsys, monkeypatch):
