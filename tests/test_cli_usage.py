@@ -8,6 +8,9 @@ The golden was recorded under CPython 3.11; other versions word some
 argparse messages differently. Rewrite it with
 ``PYTHONPATH=src python tests/test_cli_usage.py``, and only for a change
 that means to alter what the CLI prints.
+
+The other tests count the ``ArgumentParser``s a call builds: one for a
+well-formed command, the whole tree of eight for help and usage errors.
 """
 
 import argparse
@@ -95,7 +98,7 @@ def _count_parsers(monkeypatch) -> list:
     return built
 
 
-def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, capsys):
+def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch):
     linear, disks = tmp_path / "t.json", tmp_path / "v.json"
     linear.write_text(dumps_linear(tetrahedral_system()))
     disks.write_text(dumps_disks(venn_triple()))
@@ -110,7 +113,6 @@ def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, capsys):
         built.clear()
         assert main(argv) == code
         assert built == [" ".join(("helly", *argv[: 1 if argv[0] == "gen" else 2]))]
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -118,12 +120,11 @@ def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, capsys):
     [(["-h"], 8), (["linear"], 8), (["linear", "certify", "p", "extra"], 1 + 8)],
     ids=["top-help", "no-command", "leftover-words"],
 )
-def test_help_and_usage_errors_build_the_whole_tree(argv, parsers, monkeypatch, capsys):
+def test_help_and_usage_errors_build_the_whole_tree(argv, parsers, monkeypatch):
     built = _count_parsers(monkeypatch)
     with pytest.raises(SystemExit):
         main(argv)
     assert len(built) == parsers
-    capsys.readouterr()
 
 
 if __name__ == "__main__":
