@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -562,6 +563,42 @@ def test_cli_rechecks_a_disk_verdict_with_the_oracle(tmp_path, capsys, monkeypat
     path = tmp_path / "four.json"
     path.write_text(dumps_disks([disk(0, 0, 2), disk(1, 0, 2), disk(0, 1, 2), disk(3, 0, 1)]))
     wrong = CommonPoint(qpoint(0, 0)) if verdict == "point" else ViolatingTriple((0, 1, 2))
+    monkeypatch.setattr(helly.cli, "minimalist_helly_check", lambda family: wrong)
+    for fmt in ("text", "json"):
+        assert main(["disks", "check", str(path), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+
+
+def _near_miss_verdict(name):
+    """A family and a wrong verdict that only exact arithmetic can refute."""
+    from helly.disks import CommonPoint, ViolatingTriple
+    from helly.radicals import QuadPoint
+
+    if name == "lens-corner":
+        # (1/2, -sqrt(15)/2) is the lower corner of the first two disks; the
+        # third disk's radius falls short of its distance sqrt(15)/2 from the
+        # corner by about 10^-20, so the corner lies outside it
+        r = Fraction(isqrt(15 * 10**40), 2 * 10**20)
+        family = [disk(0, 0, 2), disk(1, 0, 2), disk(Fraction(1, 2), 0, r)]
+        return family, CommonPoint(QuadPoint(1, 0, 0, -1, 15, 2))
+    # the first two disks touch from outside at (1, 0), which lies inside
+    # the third and is no disk's bottom; the fourth is far off
+    family = [disk(0, 0, 1), disk(2, 0, 1), disk(3, 2, 3), disk(10, 10, 1)]
+    return family, ViolatingTriple((0, 1, 2))
+
+
+@pytest.mark.parametrize("name", ["lens-corner", "tangency-triple"])
+def test_cli_rechecks_a_near_miss_disk_verdict(tmp_path, capsys, monkeypatch, name):
+    import helly.cli
+
+    family, wrong = _near_miss_verdict(name)
+    path = tmp_path / "near.json"
+    path.write_text(dumps_disks(family))
+    # the lens family meets and the tangency family does not
+    assert main(["disks", "check", str(path)]) == (0 if name == "lens-corner" else 1)
+    capsys.readouterr()
     monkeypatch.setattr(helly.cli, "minimalist_helly_check", lambda family: wrong)
     for fmt in ("text", "json"):
         assert main(["disks", "check", str(path), "--format", fmt]) == 3

@@ -1,11 +1,32 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helly import disk, linear_system
-from helly.instances import tetrahedral_system, venn_triple
-from helly.oracles import GridSpec, exhaustive_min_inconsistent, grid_meet_oracle, naive_rank
+from helly import (
+    Inconsistent,
+    PairKind,
+    check_subsystem,
+    disk,
+    helly_certify,
+    in_disk,
+    linear_system,
+    pair_relation,
+    qpoint,
+)
+from helly.instances import gen_consistent_linear, tetrahedral_system, venn_triple
+from helly.oracles import (
+    GridSpec,
+    _lens_corners,
+    exhaustive_min_inconsistent,
+    grid_meet_oracle,
+    inside,
+    is_minimal_inconsistent,
+    naive_rank,
+)
+from helpers import prime_family, quadval_disk_side, random_structured_system
 
 
 def test_naive_rank_identity():
@@ -71,3 +92,72 @@ def test_grid_spec_validation():
         GridSpec(Fraction(0), Fraction(0), Fraction(1), Fraction(1), 0)
     with pytest.raises(ValueError):
         GridSpec(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 4)
+
+
+def _late_row_system(rng):
+    """Planted rows plus one generic row with entries up to 10^6, the
+    shape of the linear-late-cert benchmark at desk size."""
+    k = rng.randint(1, 5)
+    n = rng.randint(k + 1, 9)
+    planted = gen_consistent_linear(n - 1, k, rng.randrange(2**32))
+    row = [0] * k
+    while not any(row):
+        row = [rng.randint(-(10**6), 10**6) for _ in range(k)]
+    return linear_system(
+        [list(eq.coeffs) for eq in planted.equations] + [row],
+        [eq.rhs for eq in planted.equations] + [rng.randint(-(10**6), 10**6)],
+    )
+
+
+def _minimal_by_the_solver(s, idx):
+    """Inconsistent, and every one-smaller subset consistent, by
+    ``check_subsystem``."""
+    return check_subsystem(s, idx) is None and all(
+        check_subsystem(s, idx[:i] + idx[i + 1 :]) is not None for i in range(len(idx))
+    )
+
+
+def test_is_minimal_inconsistent_agrees_with_the_solver():
+    rng = random.Random(18001)
+    systems = [random_structured_system(rng) for _ in range(2000)]
+    systems += [_late_row_system(rng) for _ in range(100)]
+    verdicts = Counter()
+    for s in systems:
+        cert = helly_certify(s)
+        sets = [cert.subsystem] if isinstance(cert, Inconsistent) else []
+        for _ in range(3):
+            size = rng.randint(0, min(s.n, s.unknowns + 2))
+            sets.append(tuple(sorted(rng.sample(range(s.n), size))))
+        for idx in sets:
+            expected = _minimal_by_the_solver(s, idx)
+            assert is_minimal_inconsistent(s, idx) == expected, (s, idx)
+            verdicts[expected] += 1
+        if isinstance(cert, Inconsistent):
+            assert _minimal_by_the_solver(s, cert.subsystem), s
+    assert min(verdicts.values()) > 1000, verdicts
+
+
+def test_disk_oracles_agree_with_the_kernel_on_prime_denominators():
+    # every disk over its own prime, one in three tangent to an earlier one
+    rng = random.Random(18002)
+    seen = Counter()
+    for _ in range(80):
+        fam = prime_family(rng, rng.randint(3, 7))
+        points = [qpoint(d.x, d.y - d.r) for d in fam]
+        for a, b in combinations(fam, 2):
+            kind = pair_relation(a, b).kind
+            if kind not in (PairKind.PROPER_LENS, PairKind.EXTERNAL_OSCULATION):
+                continue
+            seen[kind] += 1
+            for c in _lens_corners(a, b):
+                # the radicand vanishes exactly at a tangency
+                assert (c.d == 0) == (kind is PairKind.EXTERNAL_OSCULATION), (a, b)
+                assert quadval_disk_side(c, a) == 0 == quadval_disk_side(c, b), (a, b)
+                points.append(c)
+        for p in points:
+            for d in fam:
+                expected = quadval_disk_side(p, d) <= 0
+                assert inside(p, d) == in_disk(p, d) == expected, (p, d)
+                seen[expected] += 1
+    assert min(seen[PairKind.EXTERNAL_OSCULATION], seen[PairKind.PROPER_LENS]) > 30, seen
+    assert min(seen[True], seen[False]) > 1000, seen

@@ -16,3 +16,22 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_oracles_stay_independent_of_the_kernel():
+    # helly.oracles re-checks what the integer kernel found, so it borrows
+    # neither the kernel's elimination (helly.exactq), nor the integers a
+    # Disk keeps of itself, nor the kernel's side test and corner formula
+    kernel_names = {"in_disk", "_lens_corners"}
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = {a.name for a in node.names}
+            if "exactq" in {n.split(".")[-1] for n in names | {module}}:
+                found.append(f"line {node.lineno}: imports exactq")
+            if module.split(".")[-1] == "disks" and names & kernel_names:
+                found.append(f"line {node.lineno}: imports {sorted(names & kernel_names)}")
+        elif isinstance(node, ast.Attribute) and node.attr in {"X", "Y", "R", "M", *kernel_names}:
+            found.append(f"line {node.lineno}: reads .{node.attr}")
+    assert found == []
