@@ -2,8 +2,10 @@
 
 Feasibility of a linear system is a yes/no property of its ranks, so the
 arithmetic underneath has to be exact: one rounded pivot can turn an
-inconsistent system into a "consistent" one. Everything here works over
-arbitrary-precision rationals and never rounds.
+inconsistent system into a "consistent" one. Everything here works in
+arbitrary-precision integers and never rounds; rationals appear only at
+the edges, scaled away on the way in (``integer_row``) and built for the
+returned witness and basis on the way out.
 
 One elimination lives here: fraction-free (Bareiss 1968) elimination on
 integer rows. Intermediate entries stay polynomially bounded and no gcd
@@ -12,10 +14,11 @@ reduction happens per step. Every use of it shares the row scaling
 (``bareiss_update``). ``echelon`` folds rows in order: each row is
 reduced by the pivot rows before it and pivots on its first nonzero
 column. ``rank`` is its pivot count, and ``solve_affine`` adds one
-rational back-substitution to reach the canonical witness (free
-variables pinned to zero) and a nullspace basis. The subset searches of
-``helly.linear`` fold their rows the same way along a path of index
-sets, calling ``bareiss_update`` themselves.
+fraction-free back-substitution (``reduced_echelon``, after Nakos,
+Turner and Williams 1997) to reach the canonical witness (free variables
+pinned to zero) and a nullspace basis over one common denominator. The
+subset searches of ``helly.linear`` fold their rows the same way along a
+path of index sets, calling ``bareiss_update`` themselves.
 
 Pivoting is deterministic and needs no row swaps or magnitude
 heuristics. Each pivot row is zero in the pivot columns before it, so
@@ -46,7 +49,9 @@ def rat(num, den: int = 1) -> Rat:
 def integer_row(row: Sequence[Rat | int]) -> list[int]:
     """``row`` scaled to integers by the lcm of its denominators, which
     changes neither the rank nor the consistency of any set of rows."""
-    mul = lcm(*(x.denominator for x in row))
+    mul = lcm(*[x.denominator for x in row])
+    if mul == 1:
+        return [x.numerator for x in row]
     return [x.numerator * (mul // x.denominator) for x in row]
 
 
@@ -56,8 +61,11 @@ def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) ->
     ``(p * row[j] - q * top[j]) / prev``, where ``p = top[c]``,
     ``q = row[c]`` and ``prev`` is the previous pivot (1 at the first).
     Sylvester's identity makes every quotient exact; a remainder means the
-    caller broke the pivot sequence, so it raises rather than rounds."""
+    caller broke the pivot sequence, so it raises rather than rounds. At
+    the first pivot there is nothing to divide."""
     p, q = top[c], row[c]
+    if prev == 1:
+        return [p * x - q * t for x, t in zip(row, top)]
     out = []
     for x, t in zip(row, top):
         quot, rem = divmod(p * x - q * t, prev)
@@ -68,23 +76,22 @@ def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) ->
 
 
 def echelon(
-    rows: Iterable[Sequence[Rat | int]], ncols: int
-) -> tuple[list[tuple[list[int], int, int]], bool]:
-    """Fraction-free row echelon form of ``rows``, folded in row order,
-    pivoting only within the first ``ncols`` columns.
+    rows: Iterable[Sequence[int]], ncols: int
+) -> tuple[list[tuple[Sequence[int], int, int]], bool]:
+    """Fraction-free row echelon form of the integer rows ``rows``,
+    folded in row order, pivoting only within the first ``ncols`` columns.
 
-    Each row is scaled to integers by ``integer_row`` and reduced by the
-    pivot rows before it; its pivot is its first nonzero column among the
-    first ``ncols``. Later columns (a right-hand side) are carried along
-    but never pivoted on. Returns one ``(row, col, prev)`` record per
-    pivot row, ``prev`` being the pivot before it (1 at the first), and
-    whether every row without a pivot is zero in its later columns.
+    Each row is reduced by the pivot rows before it; its pivot is its
+    first nonzero column among the first ``ncols``. Later columns (a
+    right-hand side) are carried along but never pivoted on. Returns one
+    ``(row, col, prev)`` record per pivot row, ``prev`` being the pivot
+    before it (1 at the first), and whether every row without a pivot is
+    zero in its later columns. No row of ``rows`` is modified.
     """
-    pivots: list[tuple[list[int], int, int]] = []
+    pivots: list[tuple[Sequence[int], int, int]] = []
     consistent = True
     prev = 1
-    for row in rows:
-        a = integer_row(row)
+    for a in rows:
         for top in pivots:
             a = bareiss_update(a, *top)
         c = next((c for c in range(ncols) if a[c]), None)
@@ -94,6 +101,43 @@ def echelon(
         elif any(a[ncols:]):
             consistent = False
     return pivots, consistent
+
+
+def reduced_echelon(pivots: Sequence[tuple[Sequence[int], int, int]]) -> tuple[list[list[int]], int]:
+    """``D`` times the reduced row echelon form of the pivot rows that
+    ``echelon`` returned, one row per record in the same order, and ``D``,
+    the last pivot (1 when there is none).
+
+    Record ``i`` holds ``a_i`` with pivot ``D_i = a_i[c_i]``; ``a_i`` is
+    zero in the pivot columns before ``c_i``. The reduced row with pivot
+    column ``c_i`` is ``(a_i - sum over h > i of a_i[c_h] * red_h) / D_i``,
+    so ``e_i = D * red_i`` is ``(D * a_i - sum a_i[c_h] * e_h) / D_i``,
+    built from the bottom up. By Sylvester's identity ``D`` is the
+    determinant of the pivot rows' entries in the pivot columns, so by
+    Cramer's rule every ``e_i`` is an integer row and each division is
+    exact; a remainder means the records did not come from one fold, so it
+    raises rather than rounds.
+    """
+    if not pivots:
+        return [], 1
+    a, c, _ = pivots[-1]
+    den = a[c]
+    done = [(list(a), c)]  # (e_h, c_h) bottom up; the last row has D_i = D, so e = a
+    for a, c, _ in reversed(pivots[:-1]):
+        num = [den * x for x in a]
+        for e, h in done:
+            f = a[h]
+            if f:
+                num = [x - f * y for x, y in zip(num, e)]
+        d = a[c]
+        e = []
+        for x in num:
+            quot, rem = divmod(x, d)
+            if rem:
+                raise InvariantViolation("fraction-free back-substitution lost exactness")
+            e.append(quot)
+        done.append((e, c))
+    return [e for e, _ in reversed(done)], den
 
 
 def _check_width(rows: Sequence[Sequence[Rat | int]], ncols: int) -> None:
@@ -109,7 +153,7 @@ def rank(rows: Sequence[Sequence[Rat | int]]) -> int:
     """
     ncols = len(rows[0]) if rows else 0
     _check_width(rows, ncols)
-    return len(echelon(rows, ncols)[0])
+    return len(echelon(map(integer_row, rows), ncols)[0])
 
 
 @dataclass(frozen=True)
@@ -152,40 +196,42 @@ class AffineSolutionSet:
 
 
 def solve_affine(
-    rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int], ncols: int
+    rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int] | None, ncols: int
 ) -> AffineSolutionSet | None:
     """Solve ``rows x = rhs`` in ``ncols`` unknowns exactly; ``None`` when
     there is no solution.
 
     The witness point is the one with every free variable set to zero,
-    so repeated runs agree exactly. Rows of a width other than ``ncols``
-    raise ``ValueError``.
+    so repeated runs agree exactly. With ``rhs`` ``None``, ``rows`` are
+    augmented rows already scaled to integers (``integer_row`` of the
+    coefficients followed by the right side) and are used as they are.
+    Rows of a width other than ``ncols`` (``ncols + 1`` augmented) raise
+    ``ValueError``.
     """
-    if len(rhs) != len(rows):
-        raise ValueError("right-hand side length must equal row count")
-    _check_width(rows, ncols)
-    found, consistent = echelon(((*row, b) for row, b in zip(rows, rhs)), ncols)
+    if rhs is None:
+        _check_width(rows, ncols + 1)
+        aug = rows
+    else:
+        if len(rhs) != len(rows):
+            raise ValueError("right-hand side length must equal row count")
+        _check_width(rows, ncols)
+        aug = [integer_row((*row, b)) for row, b in zip(rows, rhs)]
+    found, consistent = echelon(aug, ncols)
     if not consistent:
         return None
+    # The reduced echelon form is unique, so witness and basis do not
+    # depend on how the echelon form was reached; ``red`` is it times ``den``.
+    red, den = reduced_echelon(found)
     pivots = [c for _, c, _ in found]
-    r = len(pivots)
-    # Back-substitution to the reduced echelon form, which is unique, so
-    # witness and basis do not depend on how the echelon form was reached.
-    red = [[Fraction(x, row[c]) for x in row] for row, c, _ in found]
-    for i in range(r - 1, 0, -1):
-        c = pivots[i]
-        for h in range(i):
-            f = red[h][c]
-            if f:
-                red[h] = [x - f * y for x, y in zip(red[h], red[i])]
-    point = [Fraction(0)] * ncols
+    zero = Fraction(0)
+    point = [zero] * ncols
     for row, c in zip(red, pivots):
-        point[c] = row[ncols]
+        point[c] = Fraction(row[ncols], den)
     basis: list[tuple[Rat, ...]] = []
     for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
+        vec = [zero] * ncols
         vec[f] = Fraction(1)
         for row, c in zip(red, pivots):
-            vec[c] = -row[f]
+            vec[c] = Fraction(-row[f], den)
         basis.append(tuple(vec))
     return AffineSolutionSet(tuple(point), tuple(basis))

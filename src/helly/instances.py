@@ -25,15 +25,15 @@ def _rat_pair(x: Fraction) -> list[int]:
 
 
 def _parse_rat(obj) -> Fraction:
-    if (
-        not isinstance(obj, list)
-        or len(obj) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
-    ):
+    # ``type(v) is int`` also refuses bool, a subclass of int
+    if type(obj) is not list or len(obj) != 2 or type(obj[0]) is not int or type(obj[1]) is not int:
         raise ValueError(f"expected a [numerator, denominator] integer pair, got {obj!r}")
-    if obj[1] == 0:
+    num, den = obj
+    if den == 1:  # Fraction(num, 1) would take the normalizing path
+        return Fraction(num)
+    if den == 0:
         raise ValueError("rational denominator must be nonzero")
-    return Fraction(obj[0], obj[1])
+    return Fraction(num, den)
 
 
 def dumps_linear(system: LinearSystem) -> str:

@@ -62,7 +62,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation
@@ -142,13 +143,35 @@ def linear_system(rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int])
     return LinearSystem(k, tuple(equation(r, b) for r, b in zip(rows, rhs)))
 
 
+def _scaled(values: Sequence[Rat | int]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over the lcm of their denominators."""
+    den = lcm(*[x.denominator for x in values])
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def witness_satisfies(system: LinearSystem, witness: AffineSolutionSet) -> bool:
-    """Every element of the witness set must solve every equation exactly."""
-    if witness.unknowns != system.unknowns or not system.satisfied_by(witness.point):
+    """Every element of the witness set must solve every equation exactly.
+
+    The check runs in integers and shares no code with the solver: the
+    point becomes numerators ``p`` over one denominator ``w``, each basis
+    vector and each equation ``a . x = b`` is scaled to integers, and
+    every equation needs ``a . p == b * w`` and ``a . v == 0`` for each
+    basis vector ``v``.
+    """
+    k = system.unknowns
+    if witness.unknowns != k or any(len(vec) != k for vec in witness.basis):
         return False
+    point, w = _scaled(witness.point)
+    basis = [_scaled(vec)[0] for vec in witness.basis]
     for eq in system.equations:
-        for vec in witness.basis:
-            if sum(c * x for c, x in zip(eq.coeffs, vec)) != 0:
+        # ``row`` ends in the right side, which ``map`` stops short of
+        row, _ = _scaled(eq.coeffs + (eq.rhs,))
+        if sum(map(mul, row, point)) != row[k] * w:
+            return False
+        for vec in basis:
+            if sum(map(mul, row, vec)):
                 return False
     return True
 
@@ -349,13 +372,14 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     and never appear in one. An inconsistent system whose walk could pass
     ``MAX_CERTIFY_NODES`` nodes is refused with ``ValueError``.
     """
-    witness = check_subsystem(system, range(system.n))
+    rows = _integer_rows(system)
+    witness = solve_affine(rows, None, system.unknowns)
     if witness is not None:
         if not witness_satisfies(system, witness):
             raise InvariantViolation("computed witness fails to satisfy the system")
         return Consistent(witness)
     _check_search_size(system.n, system.unknowns)
-    idx = _first_minimum_inconsistent(_integer_rows(system), system.unknowns)
+    idx = _first_minimum_inconsistent(rows, system.unknowns)
     if idx is None:
         raise InvariantViolation(
             "inconsistent system with no inconsistent subsystem of size <= k+1; "

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly.errors import InvariantViolation
-from helly.exactq import bareiss_update, integer_row, rank, solve_affine
-from helly.linear import _Path
+from helly.exactq import bareiss_update, integer_row, rank, reduced_echelon, solve_affine
+from helly.linear import _integer_rows, _Path
 from helly.oracles import naive_rank
 from helpers import random_structured_system
 
@@ -83,6 +87,115 @@ def test_bareiss_update_guard_raises_on_a_broken_pivot_sequence():
     assert bareiss_update([1, 1, 1], [2, 1, 0], 0, 1) == [0, 1, 2]
     with pytest.raises(InvariantViolation):
         bareiss_update([0, 1, 2], [0, 3, 1], 1, 2)
+
+
+def test_bareiss_update_first_pivot_path_equals_the_general_formula():
+    # At prev == 1 the update skips the division. Scaling the row by g
+    # and dividing by prev = g takes the general path to the same row.
+    rng = random.Random(19)
+    for _ in range(500):
+        width = rng.randint(1, 6)
+        row = [rng.randint(-9, 9) for _ in range(width)]
+        top = [rng.randint(-9, 9) for _ in range(width)]
+        c = rng.randrange(width)
+        want = [top[c] * x - row[c] * t for x, t in zip(row, top)]
+        assert bareiss_update(row, top, c, 1) == want
+        g = rng.choice([-7, -1, 2, 3, 10**20 + 39])
+        assert bareiss_update([g * x for x in row], top, c, g) == want
+
+
+def test_reduced_echelon_guard_raises_on_records_of_no_fold():
+    # [2, 1, 0] then [0, 3, 1] is not a fold: the second row would have
+    # been reduced by the first. D = 3, and 3 * [2, 1, 0] - 1 * [0, 3, 1]
+    # = [6, 0, -1] leaves a remainder when divided by the pivot 2.
+    with pytest.raises(InvariantViolation):
+        reduced_echelon([([2, 1, 0], 0, 1), ([0, 3, 1], 1, 2)])
+    assert reduced_echelon([]) == ([], 1)
+
+
+def test_exactness_guards_hold_under_python_O():
+    # python -O strips assert statements; both guards must still raise
+    script = """
+from helly.errors import InvariantViolation
+from helly.exactq import bareiss_update, reduced_echelon
+assert False, "python -O should have stripped this"
+for call in (
+    lambda: bareiss_update([0, 1, 2], [0, 3, 1], 1, 2),
+    lambda: reduced_echelon([([2, 1, 0], 0, 1), ([0, 3, 1], 1, 2)]),
+):
+    try:
+        call()
+    except InvariantViolation:
+        print("raised")
+"""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised", "raised"]
+
+
+def _gauss_jordan(rows, rhs, ncols):
+    """Reference solver: plain ``Fraction`` Gauss-Jordan elimination with
+    row swaps, leftmost pivots, free variables set to zero."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(row[ncols] for row in m[len(pivots) :]):
+        return None
+    point = [Fraction(0)] * ncols
+    for row, c in zip(m, pivots):
+        point[c] = row[ncols]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, c in zip(m, pivots):
+            vec[c] = -row[f]
+        basis.append(tuple(vec))
+    return tuple(point), tuple(basis)
+
+
+def test_solve_affine_matches_a_fraction_gauss_jordan_reference():
+    # The fraction-free back-substitution must return exactly the reduced
+    # echelon witness and basis, from rational rows and from rows that
+    # are already scaled to integers.
+    rng = random.Random(2024)
+    consistent = 0
+    for _ in range(2000):
+        system = random_structured_system(rng)
+        rows = [eq.coeffs for eq in system.equations]
+        rhs = [eq.rhs for eq in system.equations]
+        k = system.unknowns
+        want = _gauss_jordan(rows, rhs, k)
+        for got in (solve_affine(rows, rhs, k), solve_affine(_integer_rows(system), None, k)):
+            if want is None:
+                assert got is None
+            else:
+                assert (got.point, got.basis) == want
+        consistent += want is not None
+    assert 700 < consistent < 1300
+
+
+def test_solve_affine_checks_the_width_of_integer_rows():
+    with pytest.raises(ValueError):
+        solve_affine([[1, 2]], None, 2)
+    assert solve_affine([[2, 4, 6]], None, 2).point == (3, 0)
 
 
 def test_rank_low_rank_products():

@@ -23,6 +23,7 @@ from helly.instances import (
     gen_helly_disks,
     gen_random_disks,
     gen_random_linear,
+    _parse_rat,
     parse_instance,
     tetrahedral_system,
     venn_triple,
@@ -104,6 +105,28 @@ def test_parse_rejects_zero_denominator():
     }
     with pytest.raises(ValueError):
         parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("obj", [[True, 1], [1, False], [1.0, 1], [1, 2, 3], "1/2"])
+def test_parse_rat_refuses_anything_but_an_integer_pair(obj):
+    want = f"expected a [numerator, denominator] integer pair, got {obj!r}"
+    with pytest.raises(ValueError) as err:
+        _parse_rat(obj)
+    assert str(err.value) == want
+    doc = {"version": 1, "kind": "linear", "unknowns": 1, "equations": [{"coeffs": [obj], "rhs": [0, 1]}]}
+    with pytest.raises(ValueError) as err:
+        parse_instance(json.dumps(doc))
+    assert str(err.value) == want
+
+
+def test_parse_rat_values():
+    with pytest.raises(ValueError) as err:
+        _parse_rat([1, 0])
+    assert str(err.value) == "rational denominator must be nonzero"
+    cases = [([2, -4], Fraction(-1, 2)), ([6, 1], Fraction(6)), ([0, -3], Fraction(0)), ([-9, 3], Fraction(-3))]
+    for obj, want in cases:
+        got = _parse_rat(obj)
+        assert (got, got.numerator, got.denominator) == (want, want.numerator, want.denominator)
 
 
 def test_parse_rejects_bad_json():

@@ -19,6 +19,7 @@ from helly import (
 )
 import helly.exactq
 import helly.linear
+from helly.exactq import AffineSolutionSet, solve_affine
 from helly.instances import gen_consistent_linear, tetrahedral_system
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
 from helpers import random_nondegenerate_system, random_structured_system
@@ -132,6 +133,95 @@ def test_certificates_sound_on_random_systems():
         else:
             assert len(cert.subsystem) <= s.unknowns + 1
             assert check_subsystem(s, cert.subsystem) is None
+
+
+def test_witness_satisfies_rejects_near_misses():
+    # x + y/3 = 1/2 and 2x/5 + 0y = 1 with a 0 = 0 row: the point
+    # (5/2, -6) and no basis; x/2 + 2y/3 - z = 1/3 in three unknowns is
+    # a plane, and a change to any one basis entry leaves it
+    s = linear_system(
+        [[1, Fraction(1, 3)], [Fraction(2, 5), 0], [0, 0]], [Fraction(1, 2), 1, 0]
+    )
+    good = helly_certify(s).witness
+    assert good.point == (Fraction(5, 2), -6) and witness_satisfies(s, good)
+    for j in range(2):
+        off = list(good.point)
+        off[j] += Fraction(1, 7)
+        assert not witness_satisfies(s, AffineSolutionSet(tuple(off), ()))
+    assert not witness_satisfies(s, AffineSolutionSet(good.point + (0,), ()))
+    assert not witness_satisfies(s, AffineSolutionSet(good.point[:1], ()))
+    plane = linear_system([[Fraction(1, 2), Fraction(2, 3), -1]], [Fraction(1, 3)])
+    good = helly_certify(plane).witness
+    assert good.dim == 2 and witness_satisfies(plane, good)
+    for i in range(2):
+        for j in range(3):
+            vec = list(good.basis[i])
+            vec[j] += 1
+            basis = list(good.basis)
+            basis[i] = tuple(vec)
+            assert not witness_satisfies(plane, AffineSolutionSet(good.point, tuple(basis)))
+    assert not witness_satisfies(plane, AffineSolutionSet(good.point, (good.basis[0][:2],)))
+
+
+def _fraction_witness_check(system, witness):
+    """The rational check the integer ``witness_satisfies`` replaced."""
+    if witness.unknowns != system.unknowns or not system.satisfied_by(witness.point):
+        return False
+    return all(
+        sum(c * x for c, x in zip(eq.coeffs, vec)) == 0
+        for eq in system.equations
+        for vec in witness.basis
+    )
+
+
+def test_witness_satisfies_agrees_with_fraction_arithmetic():
+    # Witnesses of random subsystems, and copies nudged by 1/7 in the
+    # point or by 1/3 in one basis entry, judged against the whole system
+    rng = random.Random(4242)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        s = random_structured_system(rng)
+        idx = sorted(rng.sample(range(s.n), rng.randint(0, s.n)))
+        sol = check_subsystem(s, idx)
+        if sol is None:
+            continue
+        candidates = [sol]
+        j = rng.randrange(s.unknowns)
+        point = list(sol.point)
+        point[j] += Fraction(1, 7)
+        candidates.append(AffineSolutionSet(tuple(point), sol.basis))
+        if sol.basis:
+            basis = [list(vec) for vec in sol.basis]
+            basis[rng.randrange(len(basis))][j] += Fraction(1, 3)
+            candidates.append(AffineSolutionSet(sol.point, tuple(map(tuple, basis))))
+        for witness in candidates:
+            verdict = witness_satisfies(s, witness)
+            assert verdict == _fraction_witness_check(s, witness)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 300
+
+
+def _count_integer_rows(monkeypatch) -> list[int]:
+    calls = []
+    scale = helly.exactq.integer_row
+
+    def counted(row):
+        calls.append(len(row))
+        return scale(row)
+
+    monkeypatch.setattr(helly.exactq, "integer_row", counted)
+    monkeypatch.setattr(helly.linear, "integer_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_certify_scales_each_row_once(monkeypatch, consistent):
+    # the whole-system solve and the subset walk share one scaling pass
+    s = gen_consistent_linear(12, 3, seed=4) if consistent else _late_system(1)
+    calls = _count_integer_rows(monkeypatch)
+    cert = helly_certify(s)
+    assert isinstance(cert, Consistent) == consistent
+    assert calls == [s.unknowns + 1] * s.n
 
 
 def test_inconsistency_is_monotone_under_supersets():

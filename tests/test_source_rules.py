@@ -35,3 +35,26 @@ def test_the_oracles_stay_independent_of_the_kernel():
         elif isinstance(node, ast.Attribute) and node.attr in {"X", "Y", "R", "M", *kernel_names}:
             found.append(f"line {node.lineno}: reads .{node.attr}")
     assert found == []
+
+
+def test_the_witness_recheck_stays_independent_of_the_solver():
+    # helly_certify re-checks each witness with witness_satisfies, so it
+    # scales rows itself and borrows nothing of the elimination, neither
+    # directly nor through a helper of helly.linear that it calls
+    solver_names = {"integer_row", "_integer_rows", "echelon", "bareiss_update"}
+    tree = ast.parse((PACKAGE / "linear.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, found = ["witness_satisfies"], set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            used = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if used in solver_names:
+                found.append(f"{name} line {node.lineno}: uses {used}")
+            elif used in functions:
+                todo.append(used)
+    assert seen >= {"witness_satisfies", "_scaled"}
+    assert found == []
