@@ -50,8 +50,6 @@ def integer_row(row: Sequence[Rat | int]) -> list[int]:
     """``row`` scaled to integers by the lcm of its denominators, which
     changes neither the rank nor the consistency of any set of rows."""
     mul = lcm(*[x.denominator for x in row])
-    if mul == 1:
-        return [x.numerator for x in row]
     return [x.numerator * (mul // x.denominator) for x in row]
 
 
@@ -196,26 +194,26 @@ class AffineSolutionSet:
 
 
 def solve_affine(
-    rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int] | None, ncols: int
+    rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int], ncols: int
 ) -> AffineSolutionSet | None:
     """Solve ``rows x = rhs`` in ``ncols`` unknowns exactly; ``None`` when
     there is no solution.
 
     The witness point is the one with every free variable set to zero,
-    so repeated runs agree exactly. With ``rhs`` ``None``, ``rows`` are
-    augmented rows already scaled to integers (``integer_row`` of the
-    coefficients followed by the right side) and are used as they are.
-    Rows of a width other than ``ncols`` (``ncols + 1`` augmented) raise
-    ``ValueError``.
+    so repeated runs agree exactly. Rows of a width other than ``ncols``
+    raise ``ValueError``.
     """
-    if rhs is None:
-        _check_width(rows, ncols + 1)
-        aug = rows
-    else:
-        if len(rhs) != len(rows):
-            raise ValueError("right-hand side length must equal row count")
-        _check_width(rows, ncols)
-        aug = [integer_row((*row, b)) for row, b in zip(rows, rhs)]
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length must equal row count")
+    return _solve_scaled([integer_row((*row, b)) for row, b in zip(rows, rhs)], ncols)
+
+
+def _solve_scaled(aug: Sequence[Sequence[int]], ncols: int) -> AffineSolutionSet | None:
+    """``solve_affine`` of augmented rows already scaled to integers
+    (``integer_row`` of the coefficients followed by the right side), used
+    as they are. Rows of a width other than ``ncols + 1`` raise
+    ``ValueError``."""
+    _check_width(aug, ncols + 1)
     found, consistent = echelon(aug, ncols)
     if not consistent:
         return None

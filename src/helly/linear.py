@@ -67,7 +67,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, bareiss_update, integer_row, solve_affine
+from .exactq import AffineSolutionSet, Rat, _solve_scaled, bareiss_update, integer_row, solve_affine
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
 # Most walk nodes an inconsistent system may need: sum over s <= k + 1 of
@@ -146,8 +146,6 @@ def linear_system(rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int])
 def _scaled(values: Sequence[Rat | int]) -> tuple[list[int], int]:
     """``values`` as integer numerators over the lcm of their denominators."""
     den = lcm(*[x.denominator for x in values])
-    if den == 1:
-        return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
@@ -373,7 +371,7 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     ``MAX_CERTIFY_NODES`` nodes is refused with ``ValueError``.
     """
     rows = _integer_rows(system)
-    witness = solve_affine(rows, None, system.unknowns)
+    witness = _solve_scaled(rows, system.unknowns)
     if witness is not None:
         if not witness_satisfies(system, witness):
             raise InvariantViolation("computed witness fails to satisfy the system")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly.errors import InvariantViolation
-from helly.exactq import bareiss_update, integer_row, rank, reduced_echelon, solve_affine
+from helly.exactq import _solve_scaled, bareiss_update, integer_row, rank, reduced_echelon, solve_affine
 from helly.linear import _integer_rows, _Path
 from helly.oracles import naive_rank
 from helpers import random_structured_system
@@ -183,7 +183,7 @@ def test_solve_affine_matches_a_fraction_gauss_jordan_reference():
         rhs = [eq.rhs for eq in system.equations]
         k = system.unknowns
         want = _gauss_jordan(rows, rhs, k)
-        for got in (solve_affine(rows, rhs, k), solve_affine(_integer_rows(system), None, k)):
+        for got in (solve_affine(rows, rhs, k), _solve_scaled(_integer_rows(system), k)):
             if want is None:
                 assert got is None
             else:
@@ -192,10 +192,10 @@ def test_solve_affine_matches_a_fraction_gauss_jordan_reference():
     assert 700 < consistent < 1300
 
 
-def test_solve_affine_checks_the_width_of_integer_rows():
+def test_solve_scaled_checks_the_width_of_integer_rows():
     with pytest.raises(ValueError):
-        solve_affine([[1, 2]], None, 2)
-    assert solve_affine([[2, 4, 6]], None, 2).point == (3, 0)
+        _solve_scaled([[1, 2]], 2)
+    assert _solve_scaled([[2, 4, 6]], 2).point == (3, 0)
 
 
 def test_rank_low_rank_products():
