@@ -59,11 +59,8 @@ def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) ->
     ``(p * row[j] - q * top[j]) / prev``, where ``p = top[c]``,
     ``q = row[c]`` and ``prev`` is the previous pivot (1 at the first).
     Sylvester's identity makes every quotient exact; a remainder means the
-    caller broke the pivot sequence, so it raises rather than rounds. At
-    the first pivot there is nothing to divide."""
+    caller broke the pivot sequence, so it raises rather than rounds."""
     p, q = top[c], row[c]
-    if prev == 1:
-        return [p * x - q * t for x, t in zip(row, top)]
     out = []
     for x, t in zip(row, top):
         quot, rem = divmod(p * x - q * t, prev)

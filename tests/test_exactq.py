@@ -89,21 +89,6 @@ def test_bareiss_update_guard_raises_on_a_broken_pivot_sequence():
         bareiss_update([0, 1, 2], [0, 3, 1], 1, 2)
 
 
-def test_bareiss_update_first_pivot_path_equals_the_general_formula():
-    # At prev == 1 the update skips the division. Scaling the row by g
-    # and dividing by prev = g takes the general path to the same row.
-    rng = random.Random(19)
-    for _ in range(500):
-        width = rng.randint(1, 6)
-        row = [rng.randint(-9, 9) for _ in range(width)]
-        top = [rng.randint(-9, 9) for _ in range(width)]
-        c = rng.randrange(width)
-        want = [top[c] * x - row[c] * t for x, t in zip(row, top)]
-        assert bareiss_update(row, top, c, 1) == want
-        g = rng.choice([-7, -1, 2, 3, 10**20 + 39])
-        assert bareiss_update([g * x for x in row], top, c, g) == want
-
-
 def test_reduced_echelon_guard_raises_on_records_of_no_fold():
     # [2, 1, 0] then [0, 3, 1] is not a fold: the second row would have
     # been reduced by the first. D = 3, and 3 * [2, 1, 0] - 1 * [0, 3, 1]
