@@ -13,12 +13,15 @@ reduction happens per step. Every use of it shares the row scaling
 (``integer_row``) and one update with its exactness guard
 (``bareiss_update``). ``echelon`` folds rows in order: each row is
 reduced by the pivot rows before it and pivots on its first nonzero
-column. ``rank`` is its pivot count, and ``solve_affine`` adds one
+column. It also lists the rows that reduce to ``0 = c`` with
+``c != 0``; the other rows are consistent together, which the subset
+searches of ``helly.linear`` use as a cover of sets they need not test.
+``rank`` is its pivot count, and ``solve_affine`` adds one
 fraction-free back-substitution (``reduced_echelon``, after Nakos,
 Turner and Williams 1997) to reach the canonical witness (free variables
 pinned to zero) and a nullspace basis over one common denominator. The
-subset searches of ``helly.linear`` fold their rows the same way along a
-path of index sets, calling ``bareiss_update`` themselves.
+subset searches fold their rows the same way along a path of index
+sets, calling ``bareiss_update`` themselves.
 
 Pivoting is deterministic and needs no row swaps or magnitude
 heuristics. Each pivot row is zero in the pivot columns before it, so
@@ -72,7 +75,7 @@ def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) ->
 
 def echelon(
     rows: Iterable[Sequence[int]], ncols: int
-) -> tuple[list[tuple[Sequence[int], int, int]], bool]:
+) -> tuple[list[tuple[Sequence[int], int, int]], list[int]]:
     """Fraction-free row echelon form of the integer rows ``rows``,
     folded in row order, pivoting only within the first ``ncols`` columns.
 
@@ -80,13 +83,18 @@ def echelon(
     first nonzero column among the first ``ncols``. Later columns (a
     right-hand side) are carried along but never pivoted on. Returns one
     ``(row, col, prev)`` record per pivot row, ``prev`` being the pivot
-    before it (1 at the first), and whether every row without a pivot is
-    zero in its later columns. No row of ``rows`` is modified.
+    before it (1 at the first), and the indices of the rows without a
+    pivot that stay nonzero in a later column: a row of ``0 = c`` with
+    ``c != 0``, inconsistent with the rows before it. Such a row adds no
+    pivot, so the rows not listed meet the same pivot rows when folded
+    alone and reduce to ``0 = 0`` where they have none: together they are
+    consistent. The rows are consistent exactly when none is listed. No
+    row of ``rows`` is modified.
     """
     pivots: list[tuple[Sequence[int], int, int]] = []
-    consistent = True
+    bad: list[int] = []
     prev = 1
-    for a in rows:
+    for i, a in enumerate(rows):
         for top in pivots:
             a = bareiss_update(a, *top)
         c = next((c for c in range(ncols) if a[c]), None)
@@ -94,8 +102,8 @@ def echelon(
             pivots.append((a, c, prev))
             prev = a[c]
         elif any(a[ncols:]):
-            consistent = False
-    return pivots, consistent
+            bad.append(i)
+    return pivots, bad
 
 
 def reduced_echelon(pivots: Sequence[tuple[Sequence[int], int, int]]) -> tuple[list[list[int]], int]:
@@ -211,9 +219,13 @@ def _solve_scaled(aug: Sequence[Sequence[int]], ncols: int) -> AffineSolutionSet
     as they are. Rows of a width other than ``ncols + 1`` raise
     ``ValueError``."""
     _check_width(aug, ncols + 1)
-    found, consistent = echelon(aug, ncols)
-    if not consistent:
-        return None
+    found, bad = echelon(aug, ncols)
+    return None if bad else _witness(found, ncols)
+
+
+def _witness(found: Sequence[tuple[Sequence[int], int, int]], ncols: int) -> AffineSolutionSet:
+    """The solution set of consistent augmented rows whose fold by
+    ``echelon`` gave the pivot records ``found``."""
     # The reduced echelon form is unique, so witness and basis do not
     # depend on how the echelon form was reached; ``red`` is it times ``den``.
     red, den = reduced_echelon(found)

@@ -41,6 +41,21 @@ lemma no minimal inconsistent subsystem contains them, so the node is
 never extended (the circuit prune). If it reduces to ``0 = c`` with
 ``c != 0``, the node is an inconsistent set of size ``d``, the best so
 far, and the depth cap drops from its start, ``k + 1``, to ``d - 1``.
+A node at the cap's depth has no children, so it is never pushed.
+
+*Cover lemma.* If one point satisfies every row of a set ``C`` (the
+cover), every subset of ``C`` is consistent, with that point as witness,
+so an inconsistent set holds a row outside ``C``. The walk takes its
+cover free from the in-order fold of the whole system that decides
+global consistency (``exactq.echelon``): the rows that do not reduce to
+``0 = c`` there meet the same pivot rows when folded alone, so they are
+consistent together. Call a path clean when all its rows are covered.
+Below a clean path every hit holds an uncovered row, so the walk skips
+the covered rows of a clean path at leaf depth (a path one row short of
+the cap, whose children are hits or nothing) and backtracks from a clean
+path with no uncovered row left to try. Sampling cannot afford the whole
+fold, so its cover is the rows that the canonical point of the fold of
+the first ``k`` rows satisfies, one integer dot product per row.
 
 *Why the last hit is the size-then-lex first minimum.* Let ``S`` be the
 lexicographically first inconsistent set of the least size ``m``. Each
@@ -51,7 +66,16 @@ reduces to ``0 = c`` with ``c != 0``: ``S`` is a hit. Pre-order visits
 the sets of one size in lexicographic order, so no other set of size
 ``m`` is a hit before ``S``, and hits of larger sizes leave the cap at
 ``m`` or more: the walk reaches ``S``. There the cap drops to ``m - 1``,
-and no inconsistent set is that small, so ``S`` is the last hit.
+and no inconsistent set is that small, so ``S`` is the last hit. The
+cover skips only consistent sets, so it neither adds a hit nor removes
+one, and it skips no prefix of ``S``: by the cover lemma ``S`` holds an
+uncovered row. A prefix of ``S`` skipped at leaf depth would be a
+covered set of the cap's size, so not ``S``, and not a proper prefix of
+``S``, which is shorter than the cap (at least ``m`` until ``S`` is
+reached). A clean path backtracked from has no uncovered row at or after
+its next row, so every set below it from there on, and every set that
+extends one of them, is covered: neither ``S`` nor a prefix of ``S`` is
+among them.
 """
 
 from __future__ import annotations
@@ -64,10 +88,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, _solve_scaled, bareiss_update, integer_row, solve_affine
+from .exactq import (
+    AffineSolutionSet,
+    Rat,
+    _witness,
+    bareiss_update,
+    echelon,
+    integer_row,
+    solve_affine,
+)
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
 # Most walk nodes an inconsistent system may need: sum over s <= k + 1 of
@@ -177,6 +209,19 @@ def witness_satisfies(system: LinearSystem, witness: AffineSolutionSet) -> bool:
 def _integer_rows(system: LinearSystem) -> list[list[int]]:
     """Every augmented row ``coeffs + (rhs,)``, scaled to integers once."""
     return [integer_row(eq.coeffs + (eq.rhs,)) for eq in system.equations]
+
+
+class _OnFirstUse(dict):
+    """A dict that computes a missing key's value as ``fn(key)`` when it is
+    first asked for, and keeps it."""
+
+    def __init__(self, fn: Callable[[int], object]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.fn(key)
+        return value
 
 
 class _Path:
@@ -289,16 +334,22 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     """Scan every ``size``-subset in lexicographic order.
 
     Returns ``None`` when all are consistent, else the lexicographically
-    first inconsistent index set. Subsets share the reduced rows of their
-    common prefix (``_scan_sets``), with no circuit prune: the first
-    inconsistent ``size``-subset need not be minimal, so a prefix whose
-    rows are already dependent can still start it (rows ``x = 0``,
-    ``x = 0``, ``x = 1`` at size 3).
+    first inconsistent index set. The whole system is folded first, and
+    only subsets that hold a row outside its cover are scanned; a
+    consistent system has an empty cover complement and returns at once.
+    Subsets share the reduced rows of their common prefix (``_scan_sets``),
+    with no circuit prune: the first inconsistent ``size``-subset need not
+    be minimal, so a prefix whose rows are already dependent can still
+    start it (rows ``x = 0``, ``x = 0``, ``x = 1`` at size 3).
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
-    sets = combinations(range(system.n), size)
-    for idx, consistent in _scan_sets(_integer_rows(system), system.unknowns, sets):
+    rows = _integer_rows(system)
+    uncovered = set(echelon(rows, system.unknowns)[1])
+    if not uncovered:
+        return None
+    sets = (idx for idx in combinations(range(system.n), size) if not uncovered.isdisjoint(idx))
+    for idx, consistent in _scan_sets(rows, system.unknowns, sets):
         if not consistent:
             return idx
     return None
@@ -329,32 +380,47 @@ def _check_search_size(n: int, k: int) -> None:
             )
 
 
-def _first_minimum_inconsistent(rows: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
-    """The depth-first walk of the module docstring.
+def _first_minimum_inconsistent(
+    rows: Sequence[Sequence[int]], k: int, bad: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The depth-first walk of the module docstring, over the cover that
+    leaves out the increasing row indices ``bad``.
 
     ``path`` runs from the root and ``j`` is the next row to try below
-    it. Returns the last hit, which is the size-then-lex first minimum,
-    or ``None`` when no subset of at most ``k + 1`` rows is inconsistent.
+    it; ``dirt`` counts the uncovered rows of the path. Returns the last
+    hit, which is the size-then-lex first minimum, or ``None`` when no
+    subset of at most ``k + 1`` rows is inconsistent.
     """
     n = len(rows)
     cap = min(k + 1, n)
+    nxt: list[int] = []  # nxt[j]: the first uncovered row at or after j
+    for b in (*bad, n):
+        nxt += [b] * (b + 1 - len(nxt))
     path = _Path(rows, k)
     prefix = path.indices
     best: tuple[int, ...] | None = None
-    j = 0
+    j = dirt = 0
     while True:
         d = len(prefix)
+        if not dirt and (d == cap - 1 or nxt[j] == n):
+            # a clean prefix: a hit below it needs an uncovered row, and
+            # at leaf depth the node itself must be the hit
+            j = nxt[j]
         if j < n and d < cap:
             piv, row = path.reduced(j)
-            if piv is not None:
+            if piv is None:
+                if row[k]:
+                    best = (*prefix, j)
+                    cap = d
+            elif d < cap - 1:  # a node at leaf depth has no children
                 path.push(j, piv, row)
-            elif row[k]:
-                best = (*prefix, j)
-                cap = d
+                dirt += nxt[j] == j
             j += 1
         elif prefix:
-            j = prefix[-1] + 1
+            i = prefix[-1]
+            dirt -= nxt[i] == i
             path.truncate(d - 1)
+            j = i + 1
         else:
             return best
 
@@ -371,13 +437,14 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     ``MAX_CERTIFY_NODES`` nodes is refused with ``ValueError``.
     """
     rows = _integer_rows(system)
-    witness = _solve_scaled(rows, system.unknowns)
-    if witness is not None:
+    found, bad = echelon(rows, system.unknowns)
+    if not bad:
+        witness = _witness(found, system.unknowns)
         if not witness_satisfies(system, witness):
             raise InvariantViolation("computed witness fails to satisfy the system")
         return Consistent(witness)
     _check_search_size(system.n, system.unknowns)
-    idx = _first_minimum_inconsistent(rows, system.unknowns)
+    idx = _first_minimum_inconsistent(rows, system.unknowns, bad)
     if idx is None:
         raise InvariantViolation(
             "inconsistent system with no inconsistent subsystem of size <= k+1; "
@@ -402,17 +469,26 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     """Draw uniform random ``size``-subsets and test each for consistency.
 
     A deterministic generator seeded by ``seed`` drives the draws, so a
-    report is reproducible bit for bit from its own fields. The draws are
-    judged in batches of ``SAMPLE_BATCH_INDICES`` indices: a batch is
-    sorted, so that draws share the reduced rows of their common prefixes
-    (``_scan_sets``), and then tallied in draw order.
+    report is reproducible bit for bit from its own fields. Rows are
+    scaled to integers when a draw first uses them. The cover is the rows
+    that the canonical point of the fold of the first ``k`` rows
+    satisfies, one integer dot product per row, made when a draw first
+    asks; a draw of covered rows is consistent, with that point as
+    witness. The other draws are judged in batches of
+    ``SAMPLE_BATCH_INDICES`` indices: a batch is sorted, so that draws
+    share the reduced rows of their common prefixes (``_scan_sets``), and
+    then tallied in draw order.
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
     if trials < 1:
         raise ValueError("at least one trial required")
     rng = random.Random(seed)
-    rows = _integer_rows(system)
+    k, eqs = system.unknowns, system.equations
+    rows = _OnFirstUse(lambda j: integer_row(eqs[j].coeffs + (eqs[j].rhs,)))
+    found, _ = echelon([rows[j] for j in range(min(k, system.n))], k)
+    point, w = _scaled(_witness(found, k).point)  # the canonical point is point / w
+    covered = _OnFirstUse(lambda j: sum(map(mul, rows[j], point)) == rows[j][k] * w).__getitem__
     bad = 0
     first_hit: tuple[int, ...] | None = None
     batch = max(1, SAMPLE_BATCH_INDICES // max(size, 8))
@@ -421,9 +497,12 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
             tuple(sorted(rng.sample(range(system.n), size)))
             for _ in range(min(batch, trials - start))
         ]
-        order = sorted(draws)
-        consistent = bytearray(ok for _, ok in _scan_sets(rows, system.unknowns, order))
+        rest = [idx for idx in draws if not all(map(covered, idx))]
+        if not rest:
+            continue
+        order = sorted(rest)
+        consistent = bytearray(ok for _, ok in _scan_sets(rows, k, order))
         bad += consistent.count(0)
         if first_hit is None and bad:
-            first_hit = next(idx for idx in draws if not consistent[bisect_left(order, idx)])
+            first_hit = next(idx for idx in rest if not consistent[bisect_left(order, idx)])
     return SamplingReport(trials, size, bad, first_hit, seed)

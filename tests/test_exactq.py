@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly.errors import InvariantViolation
-from helly.exactq import _solve_scaled, bareiss_update, integer_row, rank, reduced_echelon, solve_affine
-from helly.linear import _integer_rows, _Path
+from helly.exactq import _solve_scaled, bareiss_update, echelon, integer_row, rank, reduced_echelon, solve_affine
+from helly.linear import _integer_rows, _Path, check_subsystem
 from helly.oracles import naive_rank
 from helpers import random_structured_system
 
@@ -96,6 +96,22 @@ def test_reduced_echelon_guard_raises_on_records_of_no_fold():
     with pytest.raises(InvariantViolation):
         reduced_echelon([([2, 1, 0], 0, 1), ([0, 3, 1], 1, 2)])
     assert reduced_echelon([]) == ([], 1)
+
+
+def test_echelon_lists_each_row_inconsistent_with_the_kept_rows_before_it():
+    # a listed row is inconsistent with the unlisted rows before it, and
+    # the unlisted rows, the cover, are consistent together
+    rng = random.Random(3030)
+    listed = 0
+    for _ in range(800):
+        s = random_structured_system(rng)
+        _, bad = echelon(_integer_rows(s), s.unknowns)
+        kept = [i for i in range(s.n) if i not in bad]
+        assert bad == sorted(bad) and check_subsystem(s, kept) is not None
+        for i in bad:
+            assert check_subsystem(s, [j for j in kept if j < i] + [i]) is None
+        listed += len(bad) > 1
+    assert listed > 100
 
 
 def test_exactness_guards_hold_under_python_O():

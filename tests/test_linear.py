@@ -20,7 +20,7 @@ from helly import (
 import helly.exactq
 import helly.linear
 from helly.exactq import AffineSolutionSet, solve_affine
-from helly.instances import gen_consistent_linear, tetrahedral_system
+from helly.instances import gen_consistent_linear, gen_random_linear, tetrahedral_system
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
 from helpers import random_nondegenerate_system, random_structured_system
 
@@ -314,29 +314,36 @@ def _count_work(monkeypatch) -> dict[str, int]:
 
 
 def test_certify_walk_work_golden(monkeypatch):
-    # one node per subset of at most 5 of the 16 rows, sum C(16, d) for
-    # d = 1..5 = 6,884, plus the 11 size-6 nodes (0, 1, 2, 3, 4, j) for
-    # j = 5..15. Each node below the root costs one update, its row
-    # reduced once by its parent's pivot row: 6,895 - 16 = 6,879. The
-    # whole-system check folds the rows in order: rows 1 to 4 are reduced
-    # by the 1, 2, 3 and 4 pivot rows before them, and rows 5 to 15 by all
-    # five, 1 + 2 + 3 + 4 + 5 * 11 = 65.
+    # The whole-system fold reduces rows 1 to 4 by the 1, 2, 3 and 4 pivot
+    # rows before them, and rows 5 to 15 by all five, 1 + 2 + 3 + 4 +
+    # 5 * 11 = 65 updates; only row 15 ends in 0 = c, so rows 0 to 14 are
+    # the cover. The walk descends to (0, 1, 2, 3, 4), a clean prefix at
+    # leaf depth, and tries only row 15: the hit (0, 1, 2, 3, 4, 15), and
+    # the cap drops to 5. It then visits every subset of at most 4 rows,
+    # sum C(16, d) for d = 1..4 = 2,516, and below each clean prefix of
+    # 4 rows, now at leaf depth, only row 15: C(15, 4) = 1,365 nodes.
+    # 2,516 + 1,365 + 2 = 3,883 nodes. Each node below the root costs one
+    # update, its row reduced once by its parent's pivot row:
+    # 3,883 - 16 = 3,867.
     work = _count_work(monkeypatch)
     assert helly_certify(_late_system(1)) == Inconsistent((0, 1, 2, 3, 4, 15))
-    assert work == {"nodes": 6895, "updates": 6879 + 65}
+    assert work == {"nodes": 3883, "updates": 3867 + 65}
 
 
 def test_certify_walk_never_extends_a_dependent_prefix(monkeypatch):
     # (0, 1) repeats x = 0, so it is not pushed and its children (0, 1, 2)
-    # and (0, 1, 3) are never visited: 11 nodes instead of 13. Rows 1, 2
-    # and 3 are reduced once below (0), row 3 once below (0, 2), rows 2
-    # and 3 once below (1) and row 3 once below (2): 7 updates. The
+    # and (0, 1, 3) are never visited: 11 nodes instead of 13. The
     # whole-system check reduces rows 1 and 2 by pivot 0, and row 3 by
-    # pivots 0 and 1 (row 1 is zero and adds no pivot): 1 + 1 + 2 = 4.
+    # pivots 0 and 1 (row 1 is zero and adds no pivot): 1 + 1 + 2 = 4
+    # updates. Row 3 alone ends in 0 = 1, so rows 0 to 2 are the cover.
+    # The hit (0, 2, 3) drops the cap to 2, so the clean prefix (1) is at
+    # leaf depth and tries only row 3: (1, 2) is skipped, 10 nodes. Rows
+    # 1, 2 and 3 are reduced once below (0), and row 3 once below (0, 2),
+    # (1) and (2): 6 updates.
     s = linear_system([[1, 0], [1, 0], [0, 1], [1, 1]], [0, 0, 0, 1])
     work = _count_work(monkeypatch)
     assert helly_certify(s) == Inconsistent((0, 2, 3))
-    assert work == {"nodes": 11, "updates": 7 + 4}
+    assert work == {"nodes": 10, "updates": 6 + 4}
 
 
 def _det(a) -> int:
@@ -369,13 +376,17 @@ def test_path_pivots_are_the_leading_minors():
 
 def test_sample_work_golden(monkeypatch):
     # C(16, 5) = 4,368 draws of 6 of the 16 rows. Folding each draw from
-    # scratch costs 0 + 1 + ... + 5 = 15 updates, 65,520 in all. Sorted in
-    # batches of 4,096, the draws reduce each row once per prefix they
-    # share: 9,965 updates, and the report is the one the fold gives
+    # scratch costs 0 + 1 + ... + 5 = 15 updates, 65,520 in all. The cover
+    # folds rows 0 to 4, 1 + 2 + 3 + 4 = 10 updates, to the planted point,
+    # which every row but 15 satisfies. So only the 1,681 draws that hold
+    # row 15 are scanned, and they are the inconsistent ones. Sorted in
+    # batches of 4,096 and 272 draws, the 1,569 and 112 of them reduce
+    # each row once per prefix they share: 4,911 and 933 updates, 5,854
+    # in all, and the report is the one the fold gives
     work = _count_work(monkeypatch)
     report = sample_consistency(_late_system(1), 6, 4368, seed=1)
     assert (report.inconsistent_samples, report.first_hit) == (1681, (1, 4, 9, 12, 13, 15))
-    assert work["updates"] == 9965 < 65520 // 2
+    assert work["updates"] == 10 + 4911 + 933 < 65520 // 10
 
 
 def test_certify_matches_exhaustive_oracle_on_structured_systems():
@@ -447,7 +458,9 @@ def test_sampling_matches_a_per_draw_replay_across_batches(monkeypatch, batch):
 
 
 def test_sampling_holds_a_bounded_batch(monkeypatch):
-    # 4,096 draws of at most 8 rows at a time, and fewer of larger draws
+    # 4,096 draws of at most 8 rows at a time, and fewer of larger draws;
+    # the point of rows 0 and 1 of this random system satisfies no other
+    # row, so every draw of 3 or more rows is scanned
     scanned = []
     scan = helly.linear._scan_sets
 
@@ -456,11 +469,57 @@ def test_sampling_holds_a_bounded_batch(monkeypatch):
         return scan(rows, k, sets)
 
     monkeypatch.setattr(helly.linear, "_scan_sets", recorded)
-    s = gen_consistent_linear(40, 2, seed=5)
-    for size, trials, batches in ((3, 5000, [4096, 904]), (40, 2000, [819, 819, 362])):
+    s = gen_random_linear(40, 2, seed=5)
+    for size, trials, batches, bad in ((3, 5000, [4096, 904], 4852), (40, 2000, [819, 819, 362], 2000)):
         scanned.clear()
-        assert sample_consistency(s, size, trials, seed=1).inconsistent_samples == 0
+        assert sample_consistency(s, size, trials, seed=1).inconsistent_samples == bad
         assert scanned == batches
+
+
+def test_sampling_a_consistent_system_scans_no_draw(monkeypatch):
+    # the first k rows of each system are independent, so their point is
+    # the planted one and covers every row: no draw reaches the scan
+    def refused(rows, k, sets):
+        raise AssertionError("a covered draw was scanned")
+
+    monkeypatch.setattr(helly.linear, "_scan_sets", refused)
+    for seed in range(20):
+        k = 1 + seed % 5
+        s = gen_consistent_linear(30, k, seed)
+        report = sample_consistency(s, k + 1, 500, seed)
+        assert (report.inconsistent_samples, report.first_hit) == (0, None)
+    s = gen_consistent_linear(20000, 3, 1)
+    assert sample_consistency(s, 4, 2000, 1).inconsistent_samples == 0
+
+
+def _contaminated_system(rng, k, n, bad):
+    """A planted system in ``k`` unknowns with the right sides of the rows
+    ``bad`` moved off the planted point."""
+    s = random_nondegenerate_system(rng, k, n, planted=True)
+    return linear_system(
+        [eq.coeffs for eq in s.equations],
+        [eq.rhs + (rng.choice([-2, -1, 1, 2]) if i in bad else 0) for i, eq in enumerate(s.equations)],
+    )
+
+
+def test_cover_keeps_certify_and_sampling_on_contaminated_systems():
+    # 1 to 3 bad rows at random positions; a third of the systems have a
+    # bad row 0 and a third one among the first k rows, so that the
+    # sampling cover is weak
+    rng = random.Random(2020)
+    for trial in range(240):
+        k = 1 + trial % 5
+        n = rng.randint(k + 1, 11)
+        bad = rng.sample(range(n), rng.randint(1, min(3, n)))
+        if trial % 3 < 2:
+            bad[0] = 0 if trial % 3 == 0 else rng.randrange(k)
+        s = _contaminated_system(rng, k, n, set(bad))
+        cert = helly_certify(s)
+        expected = exhaustive_min_inconsistent(s)
+        assert (cert.subsystem if isinstance(cert, Inconsistent) else None) == expected
+        size = rng.randint(1, min(k + 1, n))
+        report = sample_consistency(s, size, 60, trial)
+        assert (report.inconsistent_samples, report.first_hit) == _replayed_sample(s, size, 60, trial)
 
 
 def test_all_subsystems_matches_a_per_subset_oracle_scan():
