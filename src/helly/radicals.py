@@ -20,9 +20,10 @@ rational arithmetic out of the disk kernel. ``QuadVal``, the value
 output, the separation query and the oracles; a point shows its
 coordinates as ``QuadVal`` through its ``x`` and ``y`` views.
 
-No epsilon appears anywhere in this module. Floats never appear either;
-the dyadic helpers at the bottom emit certified [lo, hi] rational
-enclosures for display, which no predicate consumes.
+No epsilon appears anywhere in this module, and no predicate reads a
+float. The helpers at the bottom are for display only: certified dyadic
+[lo, hi] rational enclosures, and the floats ``quad_float`` and
+``point_float`` that a drawing plots.
 """
 
 from __future__ import annotations
@@ -268,9 +269,11 @@ def _turn(u: tuple, v: tuple) -> int:
 
 
 def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Fraction) -> bool:
-    """Closed membership of x in the CCW arc span from a to b around the
-    rational centre (cx, cy). All three points are expected on one circle
-    centred there, and a and b must be distinct.
+    """Closed membership of the direction of x in the CCW arc span from a
+    to b around the rational centre (cx, cy). a and b are expected on one
+    circle centred there, and must be distinct. x may lie off the circle,
+    and may be any point other than the centre: only directions from the
+    centre matter. The separation query passes the query disk's centre.
 
     The arms from the centre are scaled by positive factors, which keeps
     every turn's sign. x lies in the span when it turns left of a and b
@@ -288,61 +291,12 @@ def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Frac
     return _turn(u, vb) >= 0
 
 
-Vec = tuple[QuadVal, QuadVal]
-
-
-def vec_from(p: QuadPoint, cx: Fraction, cy: Fraction) -> Vec:
-    """Vector from the rational point (cx, cy) to p."""
-    return (p.x - cx, p.y - cy)
-
-
-def _vec_radicand(v: Vec) -> int:
-    return v[0].d or v[1].d
-
-
-def _bilinear_coeffs(u: Vec, v: Vec, cross: bool):
-    """Quartic-form coefficients of u x v (cross) or u . v (dot)."""
-    (ux, uy), (vx, vy) = u, v
-    if cross:
-        e = (
-            ux.a * vy.a - uy.a * vx.a,
-            ux.b * vy.a - uy.b * vx.a,
-            ux.a * vy.b - uy.a * vx.b,
-            ux.b * vy.b - uy.b * vx.b,
-        )
-    else:
-        e = (
-            ux.a * vx.a + uy.a * vy.a,
-            ux.b * vx.a + uy.b * vy.a,
-            ux.a * vx.b + uy.a * vy.b,
-            ux.b * vx.b + uy.b * vy.b,
-        )
-    return (*e, _vec_radicand(u), _vec_radicand(v))
-
-
-def cross_sign(u: Vec, v: Vec) -> int:
-    return sign_quartic(*_bilinear_coeffs(u, v, cross=True))
-
-
-def vec_in_ccw_span(x: Vec, a: Vec, b: Vec) -> bool:
-    """Is direction x inside the closed counterclockwise fan from a to b?
-
-    a and b must be nonparallel or opposite (the fan from a to itself is
-    not meaningful and is rejected by callers).
-    """
-    s_ab = cross_sign(a, b)
-    s_ax = cross_sign(a, x)
-    s_xb = cross_sign(x, b)
-    if s_ab > 0:
-        return s_ax >= 0 and s_xb >= 0
-    if s_ab < 0:
-        return s_ax >= 0 or s_xb >= 0
-    # a and b opposite: the span is the closed half turn on a's left.
-    return s_ax >= 0
+Vec = tuple[QuadVal, QuadVal]  # a plane vector, the separating line's normal
 
 
 # ---------------------------------------------------------------------------
-# Certified dyadic enclosures (output only; predicates never read these)
+# Display output: certified dyadic enclosures and floats (predicates never
+# read these)
 
 
 def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -378,4 +332,10 @@ def quad_float(v: QuadVal) -> float:
 
 
 def point_float(p: QuadPoint) -> tuple[float, float]:
-    return quad_float(p.x), quad_float(p.y)
+    """p's coordinates as floats, within 2**-64 of the exact values before
+    rounding: sqrt(d) is taken once, as isqrt(d * 4**g) / 2**g with
+    g = 64 + the bit length of the larger radical numerator, so that its
+    error times that numerator stays below 2**-64."""
+    g = 64 + max(abs(p.xb), abs(p.yb)).bit_length()
+    s, w = isqrt(p.d << 2 * g), p.w << g
+    return ((p.xa << g) + p.xb * s) / w, ((p.ya << g) + p.yb * s) / w

@@ -40,14 +40,14 @@ from .radicals import (
     QuadPoint,
     QuadVal,
     Vec,
+    _arm,
+    ccw_in_span,
     qcmp,
     qpoint,
     quad_bounds,
     quadpoint,
     quadval,
     sqrt_bounds,
-    vec_from,
-    vec_in_ccw_span,
 )
 
 Interval = tuple[Fraction, Fraction]
@@ -125,8 +125,15 @@ class ClosestPairResult:
 
 
 def _corner(t: Disk, corner: QuadPoint, i: int) -> ClosestPairResult:
-    ux, uy = vec_from(corner, t.x, t.y)
-    center_gap_sq = ux * ux + uy * uy
+    # the arm from t's centre scaled by w*M, (ux + uxr*sqrt(d), uy + uyr*sqrt(d)):
+    # its squared length over (w*M)^2
+    ux, uxr, uy, uyr, d = _arm(corner, t.X, t.Y, t.M)
+    den = (corner.w * t.M) ** 2
+    center_gap_sq = quadval(
+        Fraction(ux * ux + uy * uy + (uxr * uxr + uyr * uyr) * d, den),
+        Fraction(2 * (ux * uxr + uy * uyr), den),
+        d,
+    )
     gap_sq = None
     if center_gap_sq.is_rational:
         s = center_gap_sq.rational()
@@ -134,17 +141,17 @@ def _corner(t: Disk, corner: QuadPoint, i: int) -> ClosestPairResult:
     return ClosestPairResult(t, corner, Corner(i), center_gap_sq, None, gap_sq)
 
 
-def _foot(t: Disk, carrier: Disk, arc: Arc | None, i: int) -> ClosestPairResult | None:
-    """The carrier-circle point facing t's center, or None when that
-    direction misses the arc's span or t's center is the carrier's."""
-    wx, wy = t.x - carrier.x, t.y - carrier.y
-    if wx == 0 and wy == 0:
+def _foot(
+    t: Disk, center: QuadPoint, carrier: Disk, arc: Arc | None, i: int
+) -> ClosestPairResult | None:
+    """The carrier-circle point facing t's center (``center``), or None
+    when that direction misses the arc's span or t's center is the
+    carrier's."""
+    if t.x == carrier.x and t.y == carrier.y:
         return None
-    if arc is not None:
-        a = vec_from(arc.start, carrier.x, carrier.y)
-        b = vec_from(arc.end, carrier.x, carrier.y)
-        if not vec_in_ccw_span((quadval(wx), quadval(wy)), a, b):
-            return None
+    if arc is not None and not ccw_in_span(center, arc.start, arc.end, carrier.x, carrier.y):
+        return None
+    wx, wy = t.x - carrier.x, t.y - carrier.y
     d2 = wx * wx + wy * wy
     r = carrier.r
     on_g = quadpoint(quadval(carrier.x, r * wx / d2, d2), quadval(carrier.y, r * wy / d2, d2))
@@ -165,7 +172,8 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
     disjoint (checked exactly, a meeting pair raises ValueError)."""
     if g.kind is RegionKind.EMPTY:
         raise ValueError("region is empty; no closest pair exists")
-    if g.contains(qpoint(t.x, t.y)):
+    center = qpoint(t.x, t.y)
+    if g.contains(center):
         raise ValueError("query disk meets the region")
     if g.kind is RegionKind.FULL:
         feet = [(g.family[g.full_index], None)]
@@ -174,7 +182,7 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
     # Corners come first: a foot at an arc end is that corner exactly, so
     # its gap ties and the strict comparison keeps the corner.
     candidates = [_corner(t, c, i) for i, c in enumerate(g.corners())]
-    candidates += [_foot(t, carrier, arc, i) for i, (carrier, arc) in enumerate(feet)]
+    candidates += [_foot(t, center, carrier, arc, i) for i, (carrier, arc) in enumerate(feet)]
     best = None
     for cand in candidates:
         if cand is not None and (best is None or qcmp(cand.center_gap_sq, best.center_gap_sq) < 0):

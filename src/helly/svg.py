@@ -1,9 +1,12 @@
 """Write-only SVG drawings of disk families and their intersection.
 
-Exact values are converted to floats here and nowhere else, the ends of
-a query's closest-pair segment and its separating line included; the
-drawing is display output, never an input to any predicate. Outlines
-follow the family's input order.
+The drawing is display output, and no float in it feeds a predicate.
+Outlines and the bounding box divide each disk's integers, (X ± R)/M,
+X/M, Y/M and R/M, one correctly rounded division each. Points come from
+``radicals.point_float`` or from the midpoints of certified enclosures,
+and the separating line's direction from ``radicals.quad_float``. Each
+region arc's large-arc flag is an exact turn test on its carrier's
+integers. Outlines follow the family's input order.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .disks import ArcRegion, Disk, RegionKind
-from .radicals import cross_sign, point_float, quad_float, vec_from
+from .radicals import _arm, _turn, point_float, quad_float
 from .separation import SeparatingLine
 
 SIZE = 640  # px, the longer side of every drawing
@@ -50,10 +53,9 @@ def _region_path(region: ArcRegion, cv: _Canvas) -> str:
         if first:
             parts.append(f"M {sx:.3f} {sy:.3f}")
             first = False
-        r = cv.length(float(carrier.r))
-        s_vec = vec_from(arc.start, carrier.x, carrier.y)
-        e_vec = vec_from(arc.end, carrier.x, carrier.y)
-        large = 1 if cross_sign(s_vec, e_vec) < 0 else 0
+        X, Y, M = carrier.X, carrier.Y, carrier.M
+        r = cv.length(carrier.R / M)
+        large = 1 if _turn(_arm(arc.start, X, Y, M), _arm(arc.end, X, Y, M)) < 0 else 0
         # world-CCW arcs render with sweep 0 once the y axis is flipped
         parts.append(f"A {r:.3f} {r:.3f} 0 {large} 0 {ex:.3f} {ey:.3f}")
     parts.append("Z")
@@ -70,16 +72,16 @@ def render_disks(
     of that disk from the region adds the segment and the dashed line."""
     xs, ys = [], []
     for d in family:
-        xs.extend([float(d.x - d.r), float(d.x + d.r)])
-        ys.extend([float(d.y - d.r), float(d.y + d.r)])
+        xs.extend([(d.X - d.R) / d.M, (d.X + d.R) / d.M])
+        ys.extend([(d.Y - d.R) / d.M, (d.Y + d.R) / d.M])
     cv = _Canvas(xs, ys, SIZE)
 
     body = []
     if region is not None and region.kind is RegionKind.FULL:
         d = region.family[region.full_index]
-        cxp, cyp = cv.pt(float(d.x), float(d.y))
+        cxp, cyp = cv.pt(d.X / d.M, d.Y / d.M)
         body.append(
-            f'<circle cx="{cxp:.3f}" cy="{cyp:.3f}" r="{cv.length(float(d.r)):.3f}" {_STYLE_REGION}/>'
+            f'<circle cx="{cxp:.3f}" cy="{cyp:.3f}" r="{cv.length(d.R / d.M):.3f}" {_STYLE_REGION}/>'
         )
     elif region is not None and region.kind is RegionKind.REGION:
         body.append(f'<path d="{_region_path(region, cv)}" {_STYLE_REGION}/>')
@@ -88,10 +90,10 @@ def render_disks(
         body.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="3" fill="#1f4e9c"/>')
 
     for i, d in enumerate(family):
-        cxp, cyp = cv.pt(float(d.x), float(d.y))
+        cxp, cyp = cv.pt(d.X / d.M, d.Y / d.M)
         style = _STYLE_QUERY if i == query else _STYLE_DISK
         body.append(
-            f'<circle cx="{cxp:.3f}" cy="{cyp:.3f}" r="{cv.length(float(d.r)):.3f}" {style}/>'
+            f'<circle cx="{cxp:.3f}" cy="{cyp:.3f}" r="{cv.length(d.R / d.M):.3f}" {style}/>'
         )
 
     if separation is not None:
@@ -107,7 +109,7 @@ def render_disks(
         nx, ny = quad_float(separation.normal[0]), quad_float(separation.normal[1])
         norm = max((nx * nx + ny * ny) ** 0.5, 1e-12)
         # the line runs perpendicular to the normal, well past the scene
-        span = 4 * max(float(d.r) for d in family) + 10
+        span = 4 * max(d.R / d.M for d in family) + 10
         dx, dy = -ny / norm * span, nx / norm * span
         axp, ayp = cv.pt(on_g[0] - dx, on_g[1] - dy)
         bxp, byp = cv.pt(on_g[0] + dx, on_g[1] + dy)

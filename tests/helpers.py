@@ -5,16 +5,7 @@ from itertools import combinations
 from math import isqrt
 
 from helly import Disk, LinearSystem, disk, linear_system, triple_meet
-from helly.radicals import (
-    QuadPoint,
-    QuadVal,
-    Vec,
-    _bilinear_coeffs,
-    _vec_radicand,
-    sign_of,
-    sign_quartic,
-    vec_from,
-)
+from helly.radicals import QuadPoint, QuadVal, Vec, sign_of, sign_quartic
 
 
 def random_nondegenerate_system(rng, k=None, n=None, planted=None, lo=-5, hi=5) -> LinearSystem:
@@ -167,6 +158,60 @@ def first_violating_triple(family) -> tuple[int, int, int] | None:
 
 
 # -- exact predicates used only by the tests ---------------------------------
+
+
+# Vectors of ``QuadVal`` coordinates in ``Fraction`` arithmetic: the
+# reference for the integer arms of ``radicals._arm`` and ``_turn``.
+
+
+def vec_from(p: QuadPoint, cx: Fraction, cy: Fraction) -> Vec:
+    """Vector from the rational point (cx, cy) to p."""
+    return (p.x - cx, p.y - cy)
+
+
+def _vec_radicand(v: Vec) -> int:
+    return v[0].d or v[1].d
+
+
+def _bilinear_coeffs(u: Vec, v: Vec, cross: bool):
+    """Quartic-form coefficients of u x v (cross) or u . v (dot)."""
+    (ux, uy), (vx, vy) = u, v
+    if cross:
+        e = (
+            ux.a * vy.a - uy.a * vx.a,
+            ux.b * vy.a - uy.b * vx.a,
+            ux.a * vy.b - uy.a * vx.b,
+            ux.b * vy.b - uy.b * vx.b,
+        )
+    else:
+        e = (
+            ux.a * vx.a + uy.a * vy.a,
+            ux.b * vx.a + uy.b * vy.a,
+            ux.a * vx.b + uy.a * vy.b,
+            ux.b * vx.b + uy.b * vy.b,
+        )
+    return (*e, _vec_radicand(u), _vec_radicand(v))
+
+
+def cross_sign(u: Vec, v: Vec) -> int:
+    return sign_quartic(*_bilinear_coeffs(u, v, cross=True))
+
+
+def vec_in_ccw_span(x: Vec, a: Vec, b: Vec) -> bool:
+    """Is direction x inside the closed counterclockwise fan from a to b?
+
+    a and b must be nonparallel or opposite (the fan from a to itself is
+    not meaningful and is rejected by callers).
+    """
+    s_ab = cross_sign(a, b)
+    s_ax = cross_sign(a, x)
+    s_xb = cross_sign(x, b)
+    if s_ab > 0:
+        return s_ax >= 0 and s_xb >= 0
+    if s_ab < 0:
+        return s_ax >= 0 or s_xb >= 0
+    # a and b opposite: the span is the closed half turn on a's left.
+    return s_ax >= 0
 
 
 def quadval_disk_side(p: QuadPoint, d: Disk) -> int:

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly.radicals import (
-    _bilinear_coeffs,
     ccw_in_span,
-    cross_sign,
     qcmp,
     qpoint,
     quad_bounds,
@@ -18,9 +16,8 @@ from helly.radicals import (
     sign_one,
     sign_quartic,
     sqrt_bounds,
-    vec_in_ccw_span,
 )
-from helpers import sign_nested
+from helpers import _bilinear_coeffs, cross_sign, sign_nested, vec_in_ccw_span
 
 getcontext().prec = 80
 

@@ -21,8 +21,20 @@ from helly import (
     triple_meet,
 )
 from helly.disks import RegionKind
-from helly.radicals import qcmp, quadpoint, vec_from, vec_in_ccw_span
-from helpers import beyond_foot_sign, lattice_family, random_family, sign_nested
+from helly.instances import gen_helly_disks
+from helly.radicals import _arm, _turn, ccw_in_span, qcmp, quadpoint
+from helly.separation import _corner
+from helpers import (
+    beyond_foot_sign,
+    cross_sign,
+    lattice_family,
+    prime_family,
+    random_family,
+    ring_family,
+    sign_nested,
+    vec_from,
+    vec_in_ccw_span,
+)
 
 
 def _symmetric_lens(a, r):
@@ -288,3 +300,67 @@ def test_on_t_enclosure_tightens():
     # geometric expectation: on_t = (4,0) - unit_x = (3, 0)
     assert abs(float(xlo) - 3.0) < 1e-9
     assert abs(float(ylo) - 0.0) < 1e-9
+
+
+def _differential_regions():
+    """Proper regions of ``gen_helly_disks`` in decreasing radius, of
+    rings, of prime-denominator families and of radius-5 disks centred at
+    sums of two lattice points of the radius-5 circle, whose lens corners
+    are often rational."""
+    rng = random.Random(2121)
+    families = []
+    for seed in range(32):
+        fam = gen_helly_disks(rng.randint(6, 24), seed)
+        fam.sort(key=lambda d: d.r, reverse=True)
+        families.append(fam)
+    families += [ring_family(n) for n in (5, 12, 24, 40)]
+    families += [prime_family(rng, rng.randint(4, 10), planted=True) for _ in range(15)]
+    on5 = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if a * a + b * b == 25]
+    sums = sorted({(a + c, b + d) for a, b in on5 for c, d in on5 if (a + c) ** 2 + (b + d) ** 2 <= 40})
+    families += [[disk(*rng.choice(sums), 5) for _ in range(rng.randint(2, 5))] for _ in range(80)]
+    # lenses with a half-turn arc: the chord runs through the first centre
+    families += [[disk(0, 0, 5), disk(0, 12, 13)], [disk(0, 0, 3), disk(-4, 0, 5)]]
+    regions = [intersect_region(fam) for fam in families]
+    return [g for g in regions if g.kind is RegionKind.REGION]
+
+
+def _query_centres(rng, arc, c):
+    """Ten random rational points, and points on the lines from c's centre
+    through the arc's rational ends, where the closed span test is tight."""
+    def rat():
+        return Fraction(rng.randint(-90, 90), rng.randint(1, 7))
+
+    out = [(rat(), rat()) for _ in range(10)]
+    for p in (arc.start, arc.end):
+        if p.x.is_rational and p.y.is_rational:
+            px, py = p.x.rational(), p.y.rational()
+            out += [(c.x + s * (px - c.x), c.y + s * (py - c.y)) for s in (Fraction(1, 3), 2, -1)]
+    return [q for q in out if q != (c.x, c.y)]
+
+
+def test_integer_forms_agree_with_the_fraction_vector_forms():
+    """The foot's span test, the drawing's large-arc flag and the corner's
+    centre gap on integer arms agree with their ``QuadVal`` vector
+    references, for rational query centres against every arc."""
+    rng = random.Random(2122)
+    flags, feet, on_rays, half_turns = 0, [], 0, 0
+    for g in _differential_regions():
+        for arc in g.arcs:
+            c = g.family[arc.disk]
+            a, b = vec_from(arc.start, c.x, c.y), vec_from(arc.end, c.x, c.y)
+            large = _turn(_arm(arc.start, c.X, c.Y, c.M), _arm(arc.end, c.X, c.Y, c.M)) < 0
+            assert large == (cross_sign(a, b) < 0)
+            flags += 1
+            half_turns += cross_sign(a, b) == 0
+            centres = _query_centres(rng, arc, c)
+            on_rays += len(centres) - 10
+            for x, y in centres:
+                w = (quadval(x - c.x), quadval(y - c.y))
+                inside = ccw_in_span(qpoint(x, y), arc.start, arc.end, c.x, c.y)
+                assert inside == vec_in_ccw_span(w, a, b)
+                feet.append(inside)
+                t = Disk(x, y, Fraction(1, rng.randint(1, 5)))
+                ux, uy = vec_from(arc.start, x, y)
+                assert qcmp(_corner(t, arc.start, 0).center_gap_sq, ux * ux + uy * uy) == 0
+    assert len(feet) > 2000 and flags > 200 and on_rays > 300 and half_turns >= 2
+    assert 0 < feet.count(True) < len(feet)
