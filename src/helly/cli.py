@@ -40,7 +40,7 @@ MAX_PRECISION = 4096  # widest accepted --precision, in bits
 MAX_GEN_N = 100_000  # largest gen --n, for every kind
 MAX_GEN_K = 1_000  # largest gen --k, for the linear kinds
 MAX_TRIALS = 1_000_000  # largest linear sample --trials
-MAX_SVG_N = 640  # largest family disks svg draws: clipping is quadratic, 6.9 to 7.3 s (wall) on a ring
+MAX_SVG_N = 640  # largest family disks svg draws: clipping is quadratic, 6.1 to 6.5 s (wall) on a ring
 
 
 def _fail(message: str) -> int:

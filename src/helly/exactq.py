@@ -74,7 +74,7 @@ def bareiss_update(row: Sequence[int], top: Sequence[int], c: int, prev: int) ->
 
 
 def echelon(
-    rows: Iterable[Sequence[int]], ncols: int, until_full: bool = False
+    rows: Iterable[Sequence[int]], ncols: int
 ) -> tuple[list[tuple[Sequence[int], int, int]], list[int]]:
     """Fraction-free row echelon form of the integer rows ``rows``,
     folded in row order, pivoting only within the first ``ncols`` columns.
@@ -89,9 +89,7 @@ def echelon(
     pivot, so the rows not listed meet the same pivot rows when folded
     alone and reduce to ``0 = 0`` where they have none: together they are
     consistent. The rows are consistent exactly when none is listed. No
-    row of ``rows`` is modified. With ``until_full`` the fold stops as
-    soon as each of the first ``ncols`` columns holds a pivot, since no
-    later row could add one, and the rows after that are not read.
+    row of ``rows`` is modified.
     """
     pivots: list[tuple[Sequence[int], int, int]] = []
     bad: list[int] = []
@@ -103,8 +101,6 @@ def echelon(
         if c is not None:
             pivots.append((a, c, prev))
             prev = a[c]
-            if until_full and len(pivots) == ncols:
-                break
         elif any(a[ncols:]):
             bad.append(i)
     return pivots, bad

@@ -54,9 +54,8 @@ Below a clean path every hit holds an uncovered row, so the walk skips
 the covered rows of a clean path at leaf depth (a path one row short of
 the cap, whose children are hits or nothing) and backtracks from a clean
 path with no uncovered row left to try. Sampling cannot afford the whole
-fold, so its cover is the rows that the canonical point of a shorter
-fold satisfies, one integer dot product per row: the fold of the rows in
-order until ``k`` of them pivot.
+fold, so its cover is the rows that the canonical point of the fold of
+the first ``k`` rows satisfies, one integer dot product per row.
 
 *Why the last hit is the size-then-lex first minimum.* Let ``S`` be the
 lexicographically first inconsistent set of the least size ``m``. Each
@@ -472,12 +471,10 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     A deterministic generator seeded by ``seed`` drives the draws, so a
     report is reproducible bit for bit from its own fields. Rows are
     scaled to integers when a draw first uses them. The cover is the rows
-    that the canonical point of one fold satisfies, one integer dot
-    product per row, made when a draw first asks; a draw of covered rows
-    is consistent, with that point as witness. The fold takes the rows in
-    order until ``k`` of them pivot, or until they run out: when the first
-    ``k`` rows pivot it folds just those, and when they do not pin one
-    point, later rows still do. The other draws are judged in batches of
+    that the canonical point of the fold of the first ``k`` rows
+    satisfies, one integer dot product per row, made when a draw first
+    asks; a draw of covered rows is consistent, with that point as
+    witness. The other draws are judged in batches of
     ``SAMPLE_BATCH_INDICES`` indices: a batch is sorted, so that draws
     share the reduced rows of their common prefixes (``_scan_sets``), and
     then tallied in draw order.
@@ -489,7 +486,7 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     rng = random.Random(seed)
     k, eqs = system.unknowns, system.equations
     rows = _OnFirstUse(lambda j: integer_row(eqs[j].coeffs + (eqs[j].rhs,)))
-    found, _ = echelon((rows[j] for j in range(system.n)), k, until_full=True)
+    found, _ = echelon([rows[j] for j in range(min(k, system.n))], k)
     point, w = _scaled(_witness(found, k).point)  # the canonical point is point / w
     covered = _OnFirstUse(lambda j: sum(map(mul, rows[j], point)) == rows[j][k] * w).__getitem__
     bad = 0

@@ -268,6 +268,26 @@ def _turn(u: tuple, v: tuple) -> int:
     return sign_quartic(e0, e1, e2, e3, du, dv)
 
 
+def turn_about(a: QuadPoint, b: QuadPoint, cx: int, cy: int, m: int) -> int:
+    """Sign of the cross product (a - c) x (b - c) about the centre
+    c = (cx/m, cy/m), m > 0: +1 when b lies counterclockwise of a seen
+    from c, 0 when they are parallel or opposite."""
+    return _turn(_arm(a, cx, cy, m), _arm(b, cx, cy, m))
+
+
+def dist_sq(p: QuadPoint, cx: int, cy: int, m: int) -> QuadVal:
+    """Squared distance from p to the centre (cx/m, cy/m), m > 0. The arm
+    p - c scaled by w*m is (ux + uxr*sqrt(d), uy + uyr*sqrt(d)); its
+    squared length is taken in integers and divided by (w*m)**2 once."""
+    ux, uxr, uy, uyr, d = _arm(p, cx, cy, m)
+    den = (p.w * m) ** 2
+    return quadval(
+        Fraction(ux * ux + uy * uy + (uxr * uxr + uyr * uyr) * d, den),
+        Fraction(2 * (ux * uxr + uy * uyr), den),
+        d,
+    )
+
+
 def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Fraction) -> bool:
     """Closed membership of the direction of x in the CCW arc span from a
     to b around the rational centre (cx, cy). a and b are expected on one
@@ -326,16 +346,31 @@ def point_bounds(p: QuadPoint, bits: int):
     return quad_bounds(p.x, bits), quad_bounds(p.y, bits)
 
 
+def _nearest_float(a: int, b: int, w: int, d: int) -> float:
+    """The float nearest (a + b*sqrt(d))/w, for w > 0. sqrt(d) is bracketed
+    by s/2**g and (s + 1)/2**g with s = isqrt(d * 4**g), starting from
+    g = 64 + the bit length of b; when both ends round to one float, so
+    does the value between them. An irrational value always lands clear
+    of a rounding boundary once g is large enough, and a rational one
+    (b = 0 or d a square) is divided exactly, so the loop ends."""
+    g = 64 + abs(b).bit_length()
+    while True:
+        dg = d << 2 * g
+        s = isqrt(dg)
+        near = ((a << g) + b * s) / (w << g)
+        if b == 0 or s * s == dg or near == ((a << g) + b * (s + 1)) / (w << g):
+            return near
+        g *= 2
+
+
 def quad_float(v: QuadVal) -> float:
-    lo, hi = quad_bounds(v, 60)
-    return float((lo + hi) / 2)
+    """The float nearest v, for display."""
+    (an, ad), (bn, bd) = v.a.as_integer_ratio(), v.b.as_integer_ratio()
+    w = lcm(ad, bd)
+    return _nearest_float(an * (w // ad), bn * (w // bd), w, v.d)
 
 
 def point_float(p: QuadPoint) -> tuple[float, float]:
-    """p's coordinates as floats, within 2**-64 of the exact values before
-    rounding: sqrt(d) is taken once, as isqrt(d * 4**g) / 2**g with
-    g = 64 + the bit length of the larger radical numerator, so that its
-    error times that numerator stays below 2**-64."""
-    g = 64 + max(abs(p.xb), abs(p.yb)).bit_length()
-    s, w = isqrt(p.d << 2 * g), p.w << g
-    return ((p.xa << g) + p.xb * s) / w, ((p.ya << g) + p.yb * s) / w
+    """The floats nearest p's coordinates, for display: the same floats
+    as ``quad_float`` of its ``x`` and ``y`` views, without building them."""
+    return _nearest_float(p.xa, p.xb, p.w, p.d), _nearest_float(p.ya, p.yb, p.w, p.d)

@@ -40,8 +40,8 @@ from .radicals import (
     QuadPoint,
     QuadVal,
     Vec,
-    _arm,
     ccw_in_span,
+    dist_sq,
     qcmp,
     qpoint,
     quad_bounds,
@@ -125,15 +125,7 @@ class ClosestPairResult:
 
 
 def _corner(t: Disk, corner: QuadPoint, i: int) -> ClosestPairResult:
-    # the arm from t's centre scaled by w*M, (ux + uxr*sqrt(d), uy + uyr*sqrt(d)):
-    # its squared length over (w*M)^2
-    ux, uxr, uy, uyr, d = _arm(corner, t.X, t.Y, t.M)
-    den = (corner.w * t.M) ** 2
-    center_gap_sq = quadval(
-        Fraction(ux * ux + uy * uy + (uxr * uxr + uyr * uyr) * d, den),
-        Fraction(2 * (ux * uxr + uy * uyr), den),
-        d,
-    )
+    center_gap_sq = dist_sq(corner, t.X, t.Y, t.M)
     gap_sq = None
     if center_gap_sq.is_rational:
         s = center_gap_sq.rational()

@@ -2,10 +2,11 @@
 
 The drawing is display output, and no float in it feeds a predicate.
 Outlines and the bounding box divide each disk's integers, (X ± R)/M,
-X/M, Y/M and R/M, one correctly rounded division each. Points come from
-``radicals.point_float`` or from the midpoints of certified enclosures,
-and the separating line's direction from ``radicals.quad_float``. Each
-region arc's large-arc flag is an exact turn test on its carrier's
+X/M, Y/M and R/M, one correctly rounded division each. Points are the
+nearest floats to their exact coordinates (``radicals.point_float``) or
+the midpoints of certified enclosures, and the separating line's
+direction is ``radicals.quad_float`` of its normal. Each region arc's
+large-arc flag is the exact ``radicals.turn_about`` on its carrier's
 integers. Outlines follow the family's input order.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .disks import ArcRegion, Disk, RegionKind
-from .radicals import _arm, _turn, point_float, quad_float
+from .radicals import point_float, quad_float, turn_about
 from .separation import SeparatingLine
 
 SIZE = 640  # px, the longer side of every drawing
@@ -53,9 +54,8 @@ def _region_path(region: ArcRegion, cv: _Canvas) -> str:
         if first:
             parts.append(f"M {sx:.3f} {sy:.3f}")
             first = False
-        X, Y, M = carrier.X, carrier.Y, carrier.M
-        r = cv.length(carrier.R / M)
-        large = 1 if _turn(_arm(arc.start, X, Y, M), _arm(arc.end, X, Y, M)) < 0 else 0
+        r = cv.length(carrier.R / carrier.M)
+        large = 1 if turn_about(arc.start, arc.end, carrier.X, carrier.Y, carrier.M) < 0 else 0
         # world-CCW arcs render with sweep 0 once the y axis is flipped
         parts.append(f"A {r:.3f} {r:.3f} 0 {large} 0 {ex:.3f} {ey:.3f}")
     parts.append("Z")

@@ -161,7 +161,8 @@ def first_violating_triple(family) -> tuple[int, int, int] | None:
 
 
 # Vectors of ``QuadVal`` coordinates in ``Fraction`` arithmetic: the
-# reference for the integer arms of ``radicals._arm`` and ``_turn``.
+# reference for the integer ``radicals.ccw_in_span``, ``turn_about`` and
+# ``dist_sq``.
 
 
 def vec_from(p: QuadPoint, cx: Fraction, cy: Fraction) -> Vec:

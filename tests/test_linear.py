@@ -8,7 +8,6 @@ from helly import (
     Consistent,
     EquationClass,
     Inconsistent,
-    SamplingReport,
     all_subsystems_consistent,
     check_subsystem,
     classify,
@@ -543,36 +542,3 @@ def test_certify_refuses_an_oversized_search_only_when_inconsistent():
     assert isinstance(helly_certify(linear_system(rows, rhs)), Consistent)
     with pytest.raises(ValueError, match="subsets; refused"):
         helly_certify(linear_system(rows + [[1, 10, 100, 1000, 10000, 100000]], rhs + [1234567]))
-
-
-def test_sampling_cover_folds_rows_until_k_pivot(monkeypatch):
-    # row 1 copies row 0, so the first k rows pin no point; the fold goes
-    # on to row k, whose point is the planted one and covers every row
-    s = gen_consistent_linear(20000, 3, 1)
-    eqs = list(s.equations)
-    eqs[1] = eqs[0]
-    dup = linear_system([eq.coeffs for eq in eqs], [eq.rhs for eq in eqs])
-    scans, read = [], []
-    scan, fold = helly.linear._scan_sets, helly.linear.echelon
-
-    def counted_scan(rows, k, sets):
-        scans.append(len(sets))
-        return scan(rows, k, sets)
-
-    def counted_fold(rows, k, until_full=False):
-        def each(rows):
-            for row in rows:
-                read.append(row)
-                yield row
-
-        return fold(each(rows), k, until_full)
-
-    monkeypatch.setattr(helly.linear, "_scan_sets", counted_scan)
-    monkeypatch.setattr(helly.linear, "echelon", counted_fold)
-    expected = SamplingReport(2000, 4, 0, None, 1)
-    assert sample_consistency(dup, 4, 2000, 1) == expected
-    assert (len(read), scans) == (4, [])
-    # a generic system folds exactly its first k rows
-    read.clear()
-    assert sample_consistency(s, 4, 2000, 1) == expected
-    assert (len(read), scans) == (3, [])

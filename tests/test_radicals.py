@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from helly.radicals import (
     ccw_in_span,
+    point_float,
     qcmp,
     qpoint,
     quad_bounds,
+    quad_float,
     quadpoint,
     quadval,
     same_point,
@@ -188,3 +190,20 @@ def test_quad_bounds_width_and_membership():
 def test_sqrt_bounds_rejects_negative():
     with pytest.raises(ValueError):
         sqrt_bounds(Fraction(-1), 10)
+
+
+def test_display_floats_round_to_nearest_next_to_a_rounding_boundary():
+    # for a convergent p/q of sqrt(2), |p - q*sqrt(2)| = 1/(p + q*sqrt(2));
+    # added to the midpoint 1 + 2**-53 of two floats it stays within
+    # 2**-120 of that midpoint, inside the first bracket of sqrt(2)
+    p, q = 1, 1
+    while q < 2**70:
+        p, q = p + 2 * q, p + q
+    assert p * p - 2 * q * q == -1  # p < q*sqrt(2)
+    w = 2**53
+    below = quadval(Fraction(w + 1 + p, w), Fraction(-q, w), 2)
+    above = quadval(Fraction(w + 1 - p, w), Fraction(q, w), 2)
+    assert quad_float(below) == 1.0 and quad_float(above) == 1 + 2**-52
+    assert point_float(quadpoint(below, above)) == (1.0, 1 + 2**-52)
+    assert quad_float(quadval(Fraction(1, 3))) == 1 / 3
+    assert quad_float(quadval(1, Fraction(1, 3), 9)) == 2.0

@@ -22,7 +22,7 @@ from helly import (
 )
 from helly.disks import RegionKind
 from helly.instances import gen_helly_disks
-from helly.radicals import _arm, _turn, ccw_in_span, qcmp, quadpoint
+from helly.radicals import ccw_in_span, qcmp, quadpoint, turn_about
 from helly.separation import _corner
 from helpers import (
     beyond_foot_sign,
@@ -348,7 +348,7 @@ def test_integer_forms_agree_with_the_fraction_vector_forms():
         for arc in g.arcs:
             c = g.family[arc.disk]
             a, b = vec_from(arc.start, c.x, c.y), vec_from(arc.end, c.x, c.y)
-            large = _turn(_arm(arc.start, c.X, c.Y, c.M), _arm(arc.end, c.X, c.Y, c.M)) < 0
+            large = turn_about(arc.start, arc.end, c.X, c.Y, c.M) < 0
             assert large == (cross_sign(a, b) < 0)
             flags += 1
             half_turns += cross_sign(a, b) == 0

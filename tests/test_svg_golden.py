@@ -18,7 +18,7 @@ from helly import disk, intersect_region
 from helly.cli import _svg_doc
 from helly.disks import RegionKind
 from helly.instances import gen_helly_disks, gen_random_disks
-from helly.radicals import point_bounds, point_float
+from helly.radicals import point_bounds, point_float, quad_float
 from helpers import prime_family, ring_family
 
 
@@ -81,16 +81,25 @@ def _within_one_ulp(f: float, lo: Fraction, hi: Fraction) -> bool:
     return lo - ulp <= Fraction(f) <= hi + ulp
 
 
+def _nearest(f: float, lo: Fraction, hi: Fraction) -> bool:
+    """Does every value in [lo, hi] round to f?"""
+    below, above = math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+    return (Fraction(below) + Fraction(f)) / 2 < lo and hi < (Fraction(f) + Fraction(above)) / 2
+
+
 def test_point_float_within_one_ulp_of_the_enclosure():
+    # a 200-bit enclosure is far narrower than half an ulp of these
+    # coordinates, so it pins the nearest float; quad_float reads the
+    # coordinate through its QuadVal view, with its own tidied radicand
     checked = 0
     for build, query in CASES.values():
-        family = build()
-        rest = [d for i, d in enumerate(family) if i != query]
-        region = intersect_region(rest)
-        points = list(region.corners()) if not region.is_empty else []
-        for p in points:
-            (xlo, xhi), (ylo, yhi) = point_bounds(p, 60)
+        region = intersect_region([d for i, d in enumerate(build()) if i != query])
+        for p in region.corners() if not region.is_empty else []:
             fx, fy = point_float(p)
+            (xlo, xhi), (ylo, yhi) = point_bounds(p, 60)
             assert _within_one_ulp(fx, xlo, xhi) and _within_one_ulp(fy, ylo, yhi), p
+            (xlo, xhi), (ylo, yhi) = point_bounds(p, 200)
+            assert _nearest(fx, xlo, xhi) and _nearest(fy, ylo, yhi), p
+            assert (quad_float(p.x), quad_float(p.y)) == (fx, fy)
             checked += 1
     assert checked > 50
