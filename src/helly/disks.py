@@ -272,14 +272,14 @@ def _span_pieces(
     """
     if u_in and v_in:
         # Either the arc stays inside, or it leaves at b and comes back at a.
-        if not same_point(b, v) and ccw_in_span(b, u, v, carrier.x, carrier.y):
+        if not same_point(b, v) and ccw_in_span(b, u, v, carrier.X, carrier.Y, carrier.M):
             return [(u, b), (a, v)]
         return [(u, v)]
     if u_in:
         return [(u, b)]
     if v_in:
         return [(a, v)]
-    if ccw_in_span(a, u, v, carrier.x, carrier.y):
+    if ccw_in_span(a, u, v, carrier.X, carrier.Y, carrier.M):
         return [(a, b)]
     return []
 
@@ -320,7 +320,7 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
             # external osculation, or the new disk inside the carrier
             # touching it: one shared point
             p = qpoint(*rel.point)
-            if ccw_in_span(p, arc.start, arc.end, carrier.x, carrier.y):
+            if ccw_in_span(p, arc.start, arc.end, carrier.X, carrier.Y, carrier.M):
                 touches.append(p)
 
     if not pieces:

@@ -4,7 +4,10 @@ Instances travel as JSON with every rational written as an exact
 ``[numerator, denominator]`` integer pair; decimal floats would silently
 break exactness at the boundary, so they are rejected. Serialization is
 canonical (fixed key order, two-space indent, trailing newline), making
-generate -> serialize -> parse -> re-serialize byte-identical.
+generate -> serialize -> parse -> re-serialize byte-identical. The writers
+build that text directly from each rational's numerator and denominator:
+the same bytes as ``json.dumps(doc, indent=2) + "\n"``, whose indented
+form runs the pure-Python encoder over every pair.
 """
 
 from __future__ import annotations
@@ -36,29 +39,39 @@ def _parse_rat(obj) -> Fraction:
     return Fraction(num, den)
 
 
+def _rat_text(x: Fraction, pad: str) -> str:
+    """x as the pair ``[numerator, denominator]`` with its brackets at
+    indent ``pad``, laid out as ``json.dumps(..., indent=2)`` does."""
+    return f"[\n{pad}  {x.numerator},\n{pad}  {x.denominator}\n{pad}]"
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    """A JSON list with its brackets at indent ``pad`` of items already
+    laid out two spaces deeper; ``[]`` when empty, as ``json`` writes it."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
 def dumps_linear(system: LinearSystem) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "kind": "linear",
-        "unknowns": system.unknowns,
-        "equations": [
-            {"coeffs": [_rat_pair(c) for c in eq.coeffs], "rhs": _rat_pair(eq.rhs)}
-            for eq in system.equations
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    eqs = [
+        f'{{\n      "coeffs": {_list_text([_rat_text(c, " " * 8) for c in eq.coeffs], " " * 6)},\n'
+        f'      "rhs": {_rat_text(eq.rhs, " " * 6)}\n    }}'
+        for eq in system.equations
+    ]
+    return (
+        f'{{\n  "version": {FORMAT_VERSION},\n  "kind": "linear",\n  "unknowns": {system.unknowns},\n'
+        f'  "equations": {_list_text(eqs, "  ")}\n}}\n'
+    )
 
 
 def dumps_disks(family: Sequence[Disk]) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "kind": "disks",
-        "disks": [
-            {"center": [_rat_pair(d.x), _rat_pair(d.y)], "radius": _rat_pair(d.r)}
-            for d in family
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    ds = [
+        f'{{\n      "center": [\n        {_rat_text(d.x, " " * 8)},\n        {_rat_text(d.y, " " * 8)}\n'
+        f'      ],\n      "radius": {_rat_text(d.r, " " * 6)}\n    }}'
+        for d in family
+    ]
+    return f'{{\n  "version": {FORMAT_VERSION},\n  "kind": "disks",\n  "disks": {_list_text(ds, "  ")}\n}}\n'
 
 
 def parse_instance(text: str):

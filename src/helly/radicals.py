@@ -288,9 +288,9 @@ def dist_sq(p: QuadPoint, cx: int, cy: int, m: int) -> QuadVal:
     )
 
 
-def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Fraction) -> bool:
+def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: int, cy: int, m: int) -> bool:
     """Closed membership of the direction of x in the CCW arc span from a
-    to b around the rational centre (cx, cy). a and b are expected on one
+    to b around the centre (cx/m, cy/m), m > 0. a and b are expected on one
     circle centred there, and must be distinct. x may lie off the circle,
     and may be any point other than the centre: only directions from the
     centre matter. The separation query passes the query disk's centre.
@@ -300,9 +300,6 @@ def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: Fraction, cy: Frac
     left of x, for a span under a half turn; when either holds, for a
     span over a half turn; and when x is left of a, for a half turn.
     """
-    (xn, xd), (yn, yd) = cx.as_integer_ratio(), cy.as_integer_ratio()
-    m = lcm(xd, yd)
-    cx, cy = xn * (m // xd), yn * (m // yd)
     u, va, vb = _arm(x, cx, cy, m), _arm(a, cx, cy, m), _arm(b, cx, cy, m)
     s_ab, s_ax = _turn(va, vb), _turn(va, u)
     if s_ab == 0 or (s_ab > 0) != (s_ax >= 0):

@@ -141,7 +141,7 @@ def _foot(
     carrier's."""
     if t.x == carrier.x and t.y == carrier.y:
         return None
-    if arc is not None and not ccw_in_span(center, arc.start, arc.end, carrier.x, carrier.y):
+    if arc is not None and not ccw_in_span(center, arc.start, arc.end, carrier.X, carrier.Y, carrier.M):
         return None
     wx, wy = t.x - carrier.x, t.y - carrier.y
     d2 = wx * wx + wy * wy

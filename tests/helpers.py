@@ -1,10 +1,13 @@
-"""Shared random generators and test-only exact predicates."""
+"""Shared random generators, test-only exact predicates and the reference
+instance writers."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
 from helly import Disk, LinearSystem, disk, linear_system, triple_meet
+from helly.instances import FORMAT_VERSION, _rat_pair
 from helly.radicals import QuadPoint, QuadVal, Vec, sign_of, sign_quartic
 
 
@@ -64,6 +67,34 @@ def random_structured_system(rng) -> LinearSystem:
         rows.append(row)
         rhs.append(b)
     return linear_system(rows, rhs)
+
+
+def reference_dumps_linear(system: LinearSystem) -> str:
+    """The instance text as ``json.dumps`` lays it out: the reference that
+    ``helly.instances.dumps_linear`` matches byte for byte."""
+    doc = {
+        "version": FORMAT_VERSION,
+        "kind": "linear",
+        "unknowns": system.unknowns,
+        "equations": [
+            {"coeffs": [_rat_pair(c) for c in eq.coeffs], "rhs": _rat_pair(eq.rhs)}
+            for eq in system.equations
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_dumps_disks(family) -> str:
+    """The reference for ``helly.instances.dumps_disks``, as above."""
+    doc = {
+        "version": FORMAT_VERSION,
+        "kind": "disks",
+        "disks": [
+            {"center": [_rat_pair(d.x), _rat_pair(d.y)], "radius": _rat_pair(d.r)}
+            for d in family
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_disk(rng, span=10, rlo=1, rhi=10, den=3) -> Disk:

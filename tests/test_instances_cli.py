@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helly
-from helly.cli import MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_SVG_N, MAX_TRIALS, main
+from helly.cli import _GENERATORS, MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_SVG_N, MAX_TRIALS, main
 from helly.instances import (
     dumps_disks,
     dumps_linear,
@@ -29,8 +30,16 @@ from helly.instances import (
     venn_triple,
 )
 from helly.disks import disk, minimalist_helly_check
-from helly.linear import LinearSystem, linear_system
+from helly.linear import Equation, LinearSystem, linear_system
 from helly.radicals import point_float
+
+from helpers import (
+    prime_family,
+    random_structured_system,
+    reference_dumps_disks,
+    reference_dumps_linear,
+    ring_family,
+)
 
 
 # -- instance files ----------------------------------------------------------
@@ -57,6 +66,44 @@ def test_parse_round_trip_preserves_values():
     assert parsed == s
     fam = venn_triple()
     assert parse_instance(dumps_disks(fam)) == fam
+
+
+def test_writers_match_json_on_generated_instances():
+    rng = random.Random(22)
+    systems = [tetrahedral_system()] + [random_structured_system(rng) for _ in range(60)]
+    families = [venn_triple(), ring_family(9), prime_family(rng, 12), prime_family(rng, 7, planted=True)]
+    for n in (0, 1, 2, 7, 31):
+        for seed in range(3):
+            for k in (1, 3, 6):
+                systems += [gen_random_linear(n, k, seed), gen_consistent_linear(n, k, seed)]
+            families += [gen_random_disks(n, seed), gen_helly_disks(n, seed), ring_family(n)]
+    for system in systems:
+        assert dumps_linear(system) == reference_dumps_linear(system)
+    for fam in families:
+        assert dumps_disks(fam) == reference_dumps_disks(fam)
+
+
+def test_writers_match_json_on_edge_cases():
+    huge = Fraction(-(10**400 + 7), 3**500)
+    systems = [
+        LinearSystem(4, ()),  # zero equations keep their unknowns
+        LinearSystem(0, (Equation((), Fraction(0)), Equation((), Fraction(-5, 2)))),
+        linear_system([[-3, Fraction(-7, 2)], [0, 1]], [Fraction(-1, 9), -8]),
+        linear_system([[huge, 1 / huge, 2]], [huge * huge]),
+    ]
+    families = [
+        [],
+        [disk(Fraction(-5, 3), -2, Fraction(7, 4)), disk(0, Fraction(-1, 99), 1)],
+        [disk(huge, -1 / huge, -huge), disk(1, 2, 3)],
+    ]
+    for system in systems:
+        text = dumps_linear(system)
+        assert text == reference_dumps_linear(system)
+        assert parse_instance(text) == system
+    for fam in families:
+        text = dumps_disks(fam)
+        assert text == reference_dumps_disks(fam)
+        assert parse_instance(text) == fam
 
 
 def test_parse_rejects_floats():
@@ -381,6 +428,32 @@ def test_cli_gen_to_stdout(capsys):
     assert main(["gen", "tetrahedron"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["kind"] == "linear"
+
+
+# every kind of ``helly gen``, built by the library with the same sizes
+_GEN_KINDS = {
+    "tetrahedron": lambda n, k, seed: tetrahedral_system(),
+    "random-linear": gen_random_linear,
+    "consistent-linear": gen_consistent_linear,
+    "random-disks": lambda n, k, seed: gen_random_disks(n, seed),
+    "helly-disks": lambda n, k, seed: gen_helly_disks(n, seed),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GEN_KINDS))
+@pytest.mark.parametrize("n, k, seed", [(0, 2, 1), (1, 1, 0), (9, 3, 4)])
+def test_cli_gen_writes_the_reference_text(kind, n, k, seed, tmp_path, capsys):
+    assert set(_GEN_KINDS) == set(_GENERATORS)
+    made = _GEN_KINDS[kind](n, k, seed)
+    reference = reference_dumps_linear if isinstance(made, LinearSystem) else reference_dumps_disks
+    expected = reference(made)
+    argv = ["gen", kind, "--n", str(n), "--k", str(k), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_cli_reads_its_words_from_sys_argv(monkeypatch, capsys):

@@ -158,9 +158,9 @@ def test_ccw_in_span_on_circle_with_radical_points():
     b = quadpoint(quadval(Fraction(1, 2)), quadval(0, 1, Fraction(3, 4)))
     east = qpoint(1, 0)
     west = qpoint(-1, 0)
-    assert ccw_in_span(east, a, b, Fraction(0), Fraction(0))
-    assert not ccw_in_span(west, a, b, Fraction(0), Fraction(0))
-    assert ccw_in_span(west, b, a, Fraction(0), Fraction(0))
+    assert ccw_in_span(east, a, b, 0, 0, 1)
+    assert not ccw_in_span(west, a, b, 0, 0, 1)
+    assert ccw_in_span(west, b, a, 0, 0, 1)
 
 
 def test_cross_and_dot_signs_mixed_radicands():

@@ -356,7 +356,7 @@ def test_integer_forms_agree_with_the_fraction_vector_forms():
             on_rays += len(centres) - 10
             for x, y in centres:
                 w = (quadval(x - c.x), quadval(y - c.y))
-                inside = ccw_in_span(qpoint(x, y), arc.start, arc.end, c.x, c.y)
+                inside = ccw_in_span(qpoint(x, y), arc.start, arc.end, c.X, c.Y, c.M)
                 assert inside == vec_in_ccw_span(w, a, b)
                 feet.append(inside)
                 t = Disk(x, y, Fraction(1, rng.randint(1, 5)))
