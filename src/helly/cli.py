@@ -40,6 +40,11 @@ MAX_PRECISION = 4096  # widest accepted --precision, in bits
 MAX_GEN_N = 100_000  # largest gen --n, for every kind
 MAX_GEN_K = 1_000  # largest gen --k, for the linear kinds
 MAX_TRIALS = 1_000_000  # largest linear sample --trials
+# Most indices linear sample draws, --trials times --size. At the cap,
+# 10 of 20,000 rows in 3 unknowns a million times took 15 s (wall, 2-core
+# x86, CPython 3.11), and 43 s when the cover holds too few rows to spare
+# any draw the scan.
+MAX_SAMPLE_INDICES = 10**7
 MAX_SVG_N = 640  # largest family disks svg draws: clipping is quadratic, 6.1 to 6.5 s (wall) on a ring
 
 
@@ -131,6 +136,7 @@ def _cmd_linear_certify(args) -> int:
 
 def _cmd_linear_sample(args) -> int:
     _check_at_most("--trials", args.trials, MAX_TRIALS)
+    _check_at_most("--trials times --size", args.trials * args.size, MAX_SAMPLE_INDICES)
     system = _load(args.path, "linear")
     report = sample_consistency(system, args.size, args.trials, args.seed)
     if args.format == "json":

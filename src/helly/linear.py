@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import ceil, comb, lcm, log
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -455,7 +455,13 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
 
 @dataclass(frozen=True)
 class SamplingReport:
-    """Outcome of randomized subsystem sampling, replayable from the seed."""
+    """Outcome of randomized subsystem sampling.
+
+    Draw ``i`` is the ``i``-th ``tuple(sorted(rng.sample(range(n),
+    subsystem_size)))`` of one ``rng = random.Random(seed)``, so the
+    fields replay the report with nothing but ``random``. CPython seeds an
+    integer by its absolute value: seeds ``-3`` and ``3`` draw alike.
+    """
 
     samples_drawn: int
     subsystem_size: int
@@ -465,15 +471,54 @@ class SamplingReport:
     generator: str = SAMPLING_GENERATOR
 
 
+def _draws(rng: random.Random, n: int, size: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` times ``tuple(sorted(rng.sample(range(n), size)))``, the
+    same draws in the same order, read from ``rng.getrandbits`` alone.
+
+    This is CPython 3.11's ``Random.sample`` on ``range(n)`` without its
+    per-call set-up. When ``n`` is at most its set size, a draw swaps
+    indices out of a pool of the undrawn ones; otherwise it rejects
+    repeats with a set. Each index below ``m`` is ``getrandbits`` of
+    ``m``'s bit length, drawn again while it is ``>= m``.
+    """
+    bits = rng.getrandbits
+    setsize = 21 + (4 ** ceil(log(size * 3, 4)) if size > 5 else 0)
+    out = []
+    if n <= setsize:
+        base = list(range(n))
+        spans = [(m, m.bit_length()) for m in range(n, n - size, -1)]
+        for _ in range(count):
+            pool = base[:]
+            draw = []
+            for m, b in spans:
+                j = bits(b)
+                while j >= m:
+                    j = bits(b)
+                draw.append(pool[j])
+                pool[j] = pool[m - 1]
+            draw.sort()
+            out.append(tuple(draw))
+    else:
+        b = n.bit_length()
+        for _ in range(count):
+            seen: set[int] = set()
+            while len(seen) < size:
+                j = bits(b)
+                if j < n:
+                    seen.add(j)
+            out.append(tuple(sorted(seen)))
+    return out
+
+
 def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) -> SamplingReport:
     """Draw uniform random ``size``-subsets and test each for consistency.
 
-    A deterministic generator seeded by ``seed`` drives the draws, so a
-    report is reproducible bit for bit from its own fields. Rows are
-    scaled to integers when a draw first uses them. The cover is the rows
-    that the canonical point of the fold of the first ``k`` rows
-    satisfies, one integer dot product per row, made when a draw first
-    asks; a draw of covered rows is consistent, with that point as
+    ``_draws`` makes the draws that ``Random.sample`` would, so a report
+    replays bit for bit from its own fields, as ``SamplingReport`` says.
+    Rows are scaled to integers when a draw first uses them. The cover
+    is the rows that the canonical point of the fold of the first ``k``
+    rows satisfies, one integer dot product per row, made when a draw
+    first asks; a draw of covered rows is consistent, with that point as
     witness. The other draws are judged in batches of
     ``SAMPLE_BATCH_INDICES`` indices: a batch is sorted, so that draws
     share the reduced rows of their common prefixes (``_scan_sets``), and
@@ -493,10 +538,7 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     first_hit: tuple[int, ...] | None = None
     batch = max(1, SAMPLE_BATCH_INDICES // max(size, 8))
     for start in range(0, trials, batch):
-        draws = [
-            tuple(sorted(rng.sample(range(system.n), size)))
-            for _ in range(min(batch, trials - start))
-        ]
+        draws = _draws(rng, system.n, size, min(batch, trials - start))
         rest = [idx for idx in draws if not all(map(covered, idx))]
         if not rest:
             continue

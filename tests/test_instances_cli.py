@@ -16,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helly
-from helly.cli import _GENERATORS, MAX_GEN_K, MAX_GEN_N, MAX_PRECISION, MAX_SVG_N, MAX_TRIALS, main
+from helly.cli import (
+    _GENERATORS,
+    MAX_GEN_K,
+    MAX_GEN_N,
+    MAX_PRECISION,
+    MAX_SAMPLE_INDICES,
+    MAX_SVG_N,
+    MAX_TRIALS,
+    main,
+)
 from helly.instances import (
     dumps_disks,
     dumps_linear,
@@ -795,6 +804,25 @@ def test_cli_sample_refuses_too_many_trials(capsys):
     argv = ["linear", "sample", "/no/such/file.json", "--size", "2", "--trials", str(MAX_TRIALS + 1)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: --trials must be at most")
+
+
+def test_cli_sample_refuses_too_many_drawn_indices(capsys):
+    # trials * size is checked before the file is read, so neither command
+    # draws anything: one past the cap is refused at once, and the cap
+    # itself passes on to the missing file
+    path = "/no/such/file.json"
+    over = ["linear", "sample", path, "--size", "1000", "--trials", str(MAX_SAMPLE_INDICES // 1000 + 1)]
+    start = time.perf_counter()
+    assert main(over) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --trials times --size must be at most {MAX_SAMPLE_INDICES}, "
+        f"got {MAX_SAMPLE_INDICES + 1000}\n"
+    )
+    at_cap = ["linear", "sample", path, "--size", "1000", "--trials", str(MAX_SAMPLE_INDICES // 1000)]
+    assert main(at_cap) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
 # -- mutated instance files ---------------------------------------------------

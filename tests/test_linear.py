@@ -457,6 +457,46 @@ def test_sampling_matches_a_per_draw_replay_across_batches(monkeypatch, batch):
         assert (report.inconsistent_samples, report.first_hit) == _replayed_sample(s, size, trials, seed)
 
 
+def _sampled(r, n, size, count):
+    """``count`` draws as ``Random.sample`` makes them, each sorted."""
+    return [tuple(sorted(r.sample(range(n), size))) for _ in range(count)]
+
+
+def test_draws_match_random_sample():
+    # a draw swaps out of a pool while n is at most 21, or 21 plus
+    # 4 ** ceil(log4(3 * size)) when size > 5 (85 for sizes 6 to 21, 277
+    # for 22 to 85), and rejects repeats with a set above that
+    cases = [(0, 0), (1, 0), (1, 1)]
+    cases += [(n, size) for n in range(2, 40) for size in range(min(n, 12) + 1)]
+    cases += [(n, size) for n in (21, 22) for size in range(6)]
+    cases += [(n, size) for n in (85, 86) for size in range(6, 22)]
+    cases += [(277, 22), (278, 22), (1000, 0), (1000, 7), (1000, 1000), (20000, 4), (20000, 300)]
+    for n, size in cases:
+        for seed in (0, 1, 20261020):
+            got = helly.linear._draws(random.Random(seed), n, size, 9)
+            assert got == _sampled(random.Random(seed), n, size, 9), (n, size, seed)
+
+
+def test_draws_continue_one_stream():
+    # batches take their draws one call after another from one generator
+    for n, size in ((16, 6), (22, 5), (1000, 7)):
+        r = random.Random(5)
+        got = helly.linear._draws(r, n, size, 4) + helly.linear._draws(r, n, size, 3)
+        assert got == _sampled(random.Random(5), n, size, 7)
+
+
+def test_sampling_calls_no_random_sample(monkeypatch):
+    s = _late_system(1)
+    expected = _replayed_sample(s, 6, 300, 2)
+
+    def refused(self, population, k, **kw):
+        raise AssertionError("Random.sample was called")
+
+    monkeypatch.setattr(random.Random, "sample", refused)
+    report = sample_consistency(s, 6, 300, 2)
+    assert (report.inconsistent_samples, report.first_hit) == expected
+
+
 def test_sampling_holds_a_bounded_batch(monkeypatch):
     # 4,096 draws of at most 8 rows at a time, and fewer of larger draws;
     # the point of rows 0 and 1 of this random system satisfies no other
