@@ -40,11 +40,18 @@ MAX_PRECISION = 4096  # widest accepted --precision, in bits
 MAX_GEN_N = 100_000  # largest gen --n, for every kind
 MAX_GEN_K = 1_000  # largest gen --k, for the linear kinds
 MAX_TRIALS = 1_000_000  # largest linear sample --trials
-# Most indices linear sample draws, --trials times --size. At the cap,
-# 10 of 20,000 rows in 3 unknowns a million times took 15 s (wall, 2-core
-# x86, CPython 3.11), and 43 s when the cover holds too few rows to spare
-# any draw the scan.
+# Most indices linear sample draws, --trials times --size, checked before
+# the file is read. MAX_SAMPLE_WORK is lower past one unknown; at this cap,
+# 10 of 20,000 rows in one unknown or none a million times took 6.0 to
+# 7.5 s (wall, 2-core x86, CPython 3.11).
 MAX_SAMPLE_INDICES = 10**7
+# Most elimination linear sample may do, --trials times --size times the
+# square of the file's 'unknowns': a scanned index in k unknowns costs up
+# to k row updates of k + 1 integers each. The slowest shape measured at
+# the cap, one draw of 271 rows in 271 unknowns, took 18 to 24 s (wall,
+# 560 MiB); more rows than unknowns, or more draws of fewer rows, took
+# less for the same product.
+MAX_SAMPLE_WORK = 2 * 10**7
 MAX_SVG_N = 640  # largest family disks svg draws: clipping is quadratic, 6.1 to 6.5 s (wall) on a ring
 
 
@@ -138,6 +145,8 @@ def _cmd_linear_sample(args) -> int:
     _check_at_most("--trials", args.trials, MAX_TRIALS)
     _check_at_most("--trials times --size", args.trials * args.size, MAX_SAMPLE_INDICES)
     system = _load(args.path, "linear")
+    work = args.trials * args.size * system.unknowns**2
+    _check_at_most("--trials times --size times 'unknowns' squared", work, MAX_SAMPLE_WORK)
     report = sample_consistency(system, args.size, args.trials, args.seed)
     if args.format == "json":
         print(json.dumps(asdict(report)))

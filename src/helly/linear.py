@@ -57,6 +57,25 @@ path with no uncovered row left to try. Sampling cannot afford the whole
 fold, so its cover is the rows that the canonical point of the fold of
 the first ``k`` rows satisfies, one integer dot product per row.
 
+*Full-rank lemma.* If a clean set ``P`` has rank ``k``, a row ``j``
+outside it is consistent with ``P`` exactly when ``j`` is covered. For
+the sampling cover, the rows that one point ``p`` satisfies: ``p``
+satisfies ``P``, whose rank is ``k``, so ``p`` is the only solution of
+``P``; a covered row holds at ``p``, and an uncovered row fails there.
+For the fold cover, the rows that ``echelon`` does not list: they are
+consistent together, and their common points lie in the solution set
+``{q}`` of ``P``, so ``q`` is their only common point and every covered
+row holds at ``q``. A listed row reduced to ``0 = c`` with ``c != 0``
+against pivot rows that are covered: for some ``D != 0``, ``D`` times
+the row minus a combination of those rows reads ``0 = c``. The
+combination holds at ``q``, so ``D (a . q - b) = -c != 0`` and the row
+fails at ``q``. With ``k = 0`` the empty set is clean and already has
+rank ``k``. So a subset scan whose clean path has ``k`` pivots settles
+each next row by its cover bit, with no update (``_scan_sets``). The
+certify walk does without it: at leaf depth it already tries only the
+uncovered rows of a clean path, and its first hit drops the cap, so the
+lemma would save it at most one update per walk.
+
 *Why the last hit is the size-then-lex first minimum.* Let ``S`` be the
 lexicographically first inconsistent set of the least size ``m``. Each
 proper prefix of ``S`` is consistent and, by the lemma, independent, so
@@ -277,7 +296,10 @@ class _Path:
 
 
 def _scan_sets(
-    rows: Sequence[Sequence[int]], k: int, sets: Iterable[tuple[int, ...]]
+    rows: Sequence[Sequence[int]],
+    k: int,
+    sets: Iterable[tuple[int, ...]],
+    covered: Callable[[int], bool],
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """Yield each of ``sets``, index tuples in lexicographic order, with
     whether its rows are consistent.
@@ -287,10 +309,15 @@ def _scan_sets(
     inconsistency. A set keeps the path it shares with the set before it,
     and an inconsistent path decides every set that starts with it. There
     is no circuit prune: a dependent prefix can still start an
-    inconsistent set.
+    inconsistent set. ``covered`` is the caller's cover, rows that one
+    point satisfies or that its whole fold leaves consistent: once the
+    path is clean (all its rows covered) with ``k`` pivots, the set's
+    other rows are settled by their cover bits alone (the full-rank lemma
+    of the module docstring), and are neither reduced nor pushed.
     """
     path = _Path(rows, k)
     dead = False  # the last row of the path made it inconsistent
+    clean = 0  # the first ``clean`` rows of the path are covered
     for idx in sets:
         m = 0
         for a, b in zip(path.indices, idx):
@@ -302,13 +329,17 @@ def _scan_sets(
             continue
         dead = False
         path.truncate(m)
-        for j in idx[m:]:
+        clean = min(clean, m)
+        while m < len(idx) and (clean < m or len(path.pivots) < k):
+            j = idx[m]
             piv, row = path.reduced(j)
             path.push(j, piv, row)
+            clean += clean == m and covered(j)
+            m += 1
             if piv is None and row[k]:
                 dead = True
                 break
-        yield idx, not dead
+        yield idx, not dead and all(map(covered, idx[m:]))
 
 
 def _validated_indices(system: LinearSystem, indices: Iterable[int]) -> tuple[int, ...]:
@@ -340,7 +371,9 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     Subsets share the reduced rows of their common prefix (``_scan_sets``),
     with no circuit prune: the first inconsistent ``size``-subset need not
     be minimal, so a prefix whose rows are already dependent can still
-    start it (rows ``x = 0``, ``x = 0``, ``x = 1`` at size 3).
+    start it (rows ``x = 0``, ``x = 0``, ``x = 1`` at size 3). The scan
+    gets the same cover, so that a subset whose clean prefix has rank
+    ``k`` is settled by the cover bits of its other rows.
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
@@ -349,7 +382,7 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     if not uncovered:
         return None
     sets = (idx for idx in combinations(range(system.n), size) if not uncovered.isdisjoint(idx))
-    for idx, consistent in _scan_sets(rows, system.unknowns, sets):
+    for idx, consistent in _scan_sets(rows, system.unknowns, sets, lambda j: j not in uncovered):
         if not consistent:
             return idx
     return None
@@ -522,7 +555,9 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     witness. The other draws are judged in batches of
     ``SAMPLE_BATCH_INDICES`` indices: a batch is sorted, so that draws
     share the reduced rows of their common prefixes (``_scan_sets``), and
-    then tallied in draw order.
+    then tallied in draw order. The scan gets the same cover: once a
+    draw's clean prefix has rank ``k``, the point is its only solution,
+    and the draw's other rows are settled by their cover bits.
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
@@ -543,7 +578,7 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
         if not rest:
             continue
         order = sorted(rest)
-        consistent = bytearray(ok for _, ok in _scan_sets(rows, k, order))
+        consistent = bytearray(ok for _, ok in _scan_sets(rows, k, order, covered))
         bad += consistent.count(0)
         if first_hit is None and bad:
             first_hit = next(idx for idx in rest if not consistent[bisect_left(order, idx)])

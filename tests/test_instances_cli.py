@@ -22,6 +22,7 @@ from helly.cli import (
     MAX_GEN_N,
     MAX_PRECISION,
     MAX_SAMPLE_INDICES,
+    MAX_SAMPLE_WORK,
     MAX_SVG_N,
     MAX_TRIALS,
     main,
@@ -823,6 +824,32 @@ def test_cli_sample_refuses_too_many_drawn_indices(capsys):
     at_cap = ["linear", "sample", path, "--size", "1000", "--trials", str(MAX_SAMPLE_INDICES // 1000)]
     assert main(at_cap) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+
+def test_cli_sample_refuses_too_much_elimination(tmp_path, capsys, monkeypatch):
+    # trials * size * unknowns**2 is checked once the file is read and
+    # before any draw: one past the cap is refused at once without
+    # sampling, and the cap itself samples
+    k, size = 100, 5
+    path = tmp_path / "wide.json"
+    path.write_text(dumps_linear(gen_random_linear(size, k, seed=1)))
+    sampled = []
+    sample = helly.cli.sample_consistency
+    monkeypatch.setattr(helly.cli, "sample_consistency", lambda *a: sampled.append(a) or sample(*a))
+    trials = MAX_SAMPLE_WORK // (size * k * k)
+    over = ["linear", "sample", str(path), "--size", str(size), "--trials", str(trials + 1)]
+    start = time.perf_counter()
+    assert main(over) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: --trials times --size times 'unknowns' squared must be at most {MAX_SAMPLE_WORK}, "
+        f"got {(trials + 1) * size * k * k}\n"
+    )
+    assert sampled == []
+    at_cap = ["linear", "sample", str(path), "--size", str(size), "--trials", str(trials)]
+    assert main(at_cap) == 0
+    assert len(sampled) == 1
+    assert capsys.readouterr().out.startswith(f"drew {trials} subsystems of size {size}: ")
 
 
 # -- mutated instance files ---------------------------------------------------

@@ -381,12 +381,15 @@ def test_sample_work_golden(monkeypatch):
     # which every row but 15 satisfies. So only the 1,681 draws that hold
     # row 15 are scanned, and they are the inconsistent ones. Sorted in
     # batches of 4,096 and 272 draws, the 1,569 and 112 of them reduce
-    # each row once per prefix they share: 4,911 and 933 updates, 5,854
-    # in all, and the report is the one the fold gives
+    # each of their first five rows once per prefix it follows: 2,738 and
+    # 601 updates. Those five rows are covered and independent, a clean
+    # path of rank 5 whose only solution is the planted point, so row 15
+    # is settled by its cover bit and never reduced; reducing it under
+    # each of the 2,173 and 332 distinct prefixes would cost 5,854 in all
     work = _count_work(monkeypatch)
     report = sample_consistency(_late_system(1), 6, 4368, seed=1)
     assert (report.inconsistent_samples, report.first_hit) == (1681, (1, 4, 9, 12, 13, 15))
-    assert work["updates"] == 10 + 4911 + 933 < 65520 // 10
+    assert work["updates"] == 10 + 2738 + 601 < 65520 // 10
 
 
 def test_certify_matches_exhaustive_oracle_on_structured_systems():
@@ -504,9 +507,9 @@ def test_sampling_holds_a_bounded_batch(monkeypatch):
     scanned = []
     scan = helly.linear._scan_sets
 
-    def recorded(rows, k, sets):
+    def recorded(rows, k, sets, covered):
         scanned.append(len(sets))
-        return scan(rows, k, sets)
+        return scan(rows, k, sets, covered)
 
     monkeypatch.setattr(helly.linear, "_scan_sets", recorded)
     s = gen_random_linear(40, 2, seed=5)
@@ -519,7 +522,7 @@ def test_sampling_holds_a_bounded_batch(monkeypatch):
 def test_sampling_a_consistent_system_scans_no_draw(monkeypatch):
     # the first k rows of each system are independent, so their point is
     # the planted one and covers every row: no draw reaches the scan
-    def refused(rows, k, sets):
+    def refused(rows, k, sets, covered):
         raise AssertionError("a covered draw was scanned")
 
     monkeypatch.setattr(helly.linear, "_scan_sets", refused)
@@ -560,6 +563,59 @@ def test_cover_keeps_certify_and_sampling_on_contaminated_systems():
         size = rng.randint(1, min(k + 1, n))
         report = sample_consistency(s, size, 60, trial)
         assert (report.inconsistent_samples, report.first_hit) == _replayed_sample(s, size, 60, trial)
+
+
+def _full_rank_rule_system(rng, shape):
+    """A system for the full-rank rule of ``_scan_sets`` in one of four
+    shapes, each with one or two right sides moved off a planted point:
+    ``late``, where clean paths of ``k`` independent rows let the rule
+    fire, as in late-cert; ``repeats``, with covered rows repeated so
+    that a clean path of ``k`` rows can have rank below ``k``; ``low``,
+    with row 1 a multiple of row 0, so that the first ``k`` rows do not
+    pin a point and the sampling cover is weak; and ``k0``, rows ``0 = c``
+    in no unknowns, where the empty path already has full rank."""
+    if shape == "k0":
+        n = rng.randint(1, 9)
+        return linear_system([[]] * n, [rng.choice([0, 0, 0, 1, -2]) for _ in range(n)])
+    k = rng.randint(1, 4)
+    n = rng.randint(k + 2, 10)
+    bad = set(rng.sample(range(n), rng.randint(1, 2)))
+    s = _contaminated_system(rng, k, n, bad)
+    rows = [list(eq.coeffs) for eq in s.equations]
+    rhs = [eq.rhs for eq in s.equations]
+    if shape == "repeats":
+        for i in rng.sample(range(1, n), rng.randint(1, n - 1)):
+            j = rng.randrange(i)
+            if j not in bad and i not in bad:
+                f = rng.choice([1, 1, -1, 2])
+                rows[i], rhs[i] = [f * c for c in rows[j]], f * rhs[j]
+    elif shape == "low" and k > 1:
+        f = rng.choice([1, -1, 3])
+        rows[1], rhs[1] = [f * c for c in rows[0]], f * rhs[0] + (rng.choice([-1, 1]) if 1 in bad else 0)
+    return linear_system(rows, rhs)
+
+
+@pytest.mark.parametrize("shape", ["late", "repeats", "low", "k0"])
+def test_full_rank_rule_matches_the_oracles(shape):
+    # the rule settles a row by its cover bit only on a clean path of
+    # full rank; firing one pivot early, or on a path that holds an
+    # uncovered row, changes verdicts in every shape but k0
+    rng = random.Random({"late": 2401, "repeats": 2402, "low": 2403, "k0": 2404}[shape])
+    for trial in range(120):
+        s = _full_rank_rule_system(rng, shape)
+        minimum = exhaustive_min_inconsistent(s)
+        m = s.n + 1 if minimum is None else len(minimum)
+        for size in range(s.n + 1):
+            got = all_subsystems_consistent(s, size)
+            if size < m:
+                assert got is None
+            elif size == m:
+                assert got == minimum
+            else:
+                assert got is not None and not _oracle_consistent(s, got)
+            if size <= s.unknowns + 2:
+                report = sample_consistency(s, size, 30, trial)
+                assert (report.inconsistent_samples, report.first_hit) == _replayed_sample(s, size, 30, trial)
 
 
 def test_all_subsystems_matches_a_per_subset_oracle_scan():
