@@ -56,41 +56,64 @@ F'. A pair F is completed by the smallest index outside it, and one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import Rat
+from .exactq import Rat, cached_view
 from .radicals import QuadPoint, ccw_in_span, point_cmp, qpoint, same_point, sign_one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Disk:
     """Closed disk with exact rational center and positive radius.
 
-    It also keeps itself over its own denominator, M = lcm of the three
-    denominators: x = X/M, y = Y/M and r = R/M. These integers take no
-    part in equality or hashing.
+    It keeps itself over its own denominator, M = lcm of the three
+    reduced denominators: x = X/M, y = Y/M and r = R/M. The parser and
+    the generators build these integers directly (``_of``); the
+    constructor scales the rationals it is given. ``x``, ``y`` and ``r``
+    are exact ``Fraction`` views, built when first read. The reduced
+    values fix (X, Y, R, M), so equality and hashing use those four.
     """
 
-    x: Rat
-    y: Rat
-    r: Rat
-    X: int = field(init=False, compare=False, repr=False)
-    Y: int = field(init=False, compare=False, repr=False)
-    R: int = field(init=False, compare=False, repr=False)
-    M: int = field(init=False, compare=False, repr=False)
+    X: int
+    Y: int
+    R: int
+    M: int
 
-    def __post_init__(self) -> None:
-        if self.r <= 0:
+    def __init__(self, x: Rat, y: Rat, r: Rat) -> None:
+        (xn, xd), (yn, yd), (rn, rd) = (v.as_integer_ratio() for v in (x, y, r))
+        if rn <= 0:
             raise ValueError("radius must be strictly positive")
-        (xn, xd), (yn, yd), (rn, rd) = (v.as_integer_ratio() for v in (self.x, self.y, self.r))
         m = lcm(xd, yd, rd)
-        # the instance is frozen, so the derived fields go straight into its dict
+        # the instance is frozen, so its fields go straight into its dict
         vars(self).update(X=xn * (m // xd), Y=yn * (m // yd), R=rn * (m // rd), M=m)
+
+    @classmethod
+    def _of(cls, X: int, Y: int, R: int, M: int) -> Disk:
+        """The disk (X/M, Y/M) of radius R/M, for R > 0, M > 0 and
+        ``gcd(X, Y, R, M) == 1``."""
+        d = cls.__new__(cls)
+        vars(d).update(X=X, Y=Y, R=R, M=M)
+        return d
+
+    @cached_view
+    def x(self) -> Rat:
+        return Fraction(self.X, self.M)
+
+    @cached_view
+    def y(self) -> Rat:
+        return Fraction(self.Y, self.M)
+
+    @cached_view
+    def r(self) -> Rat:
+        return Fraction(self.R, self.M)
+
+    def __repr__(self) -> str:
+        return f"Disk(x={self.x!r}, y={self.y!r}, r={self.r!r})"
 
 
 def disk(x, y, r) -> Disk:

@@ -28,20 +28,21 @@ minimal. (The same argument shows ``rank A_S = |S| - 1 <= k``, which is
 the ``k + 1`` bound.)
 
 *The walk.* Nodes are increasing index tuples, visited in lexicographic
-pre-order: ``(0), (0, 1), (0, 1, 2), ..., (0, 2), ...``. Each row is
-scaled to integers once. For each prefix of its path the walk keeps the
-later rows reduced by that prefix's pivot rows (``_Path``). A node's
-last row is the parent's reduced copy of that row, updated once by the
-parent's own pivot row; the update is made when a node first needs it
-and is shared by every node below the parent, so each node costs one
-Bareiss update. If that row stays nonzero in the coefficient columns,
-the node's rows are independent and the node may be extended. If it
-reduces to ``0 = 0``, the rows are dependent and consistent, and by the
-lemma no minimal inconsistent subsystem contains them, so the node is
-never extended (the circuit prune). If it reduces to ``0 = c`` with
-``c != 0``, the node is an inconsistent set of size ``d``, the best so
-far, and the depth cap drops from its start, ``k + 1``, to ``d - 1``.
-A node at the cap's depth has no children, so it is never pushed.
+pre-order: ``(0), (0, 1), (0, 1, 2), ..., (0, 2), ...``. Each row is the
+equation's integer row (``Equation.row``). For each prefix of its path
+the walk keeps the later rows reduced by that prefix's pivot rows
+(``_Path``). A node's last row is the parent's reduced copy of that row,
+updated once by the parent's own pivot row; the update is made when a
+node first needs it and is shared by every node below the parent, so
+each node costs one Bareiss update. If that row stays nonzero in the
+coefficient columns, the node's rows are independent and the node may be
+extended. If it reduces to ``0 = 0``, the rows are dependent and
+consistent, and by the lemma no minimal inconsistent subsystem contains
+them, so the node is never extended (the circuit prune). If it reduces
+to ``0 = c`` with ``c != 0``, the node is an inconsistent set of size
+``d``, the best so far, and the depth cap drops from its start,
+``k + 1``, to ``d - 1``. A node at the cap's depth has no children, so
+it is never pushed.
 
 *Cover lemma.* If one point satisfies every row of a set ``C`` (the
 cover), every subset of ``C`` is consistent, with that point as witness,
@@ -115,8 +116,8 @@ from .exactq import (
     Rat,
     _witness,
     bareiss_update,
+    cached_view,
     echelon,
-    integer_row,
     solve_affine,
 )
 
@@ -138,24 +139,58 @@ class EquationClass(Enum):
     DEGENERATE_INCONSISTENT = "degenerate-inconsistent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Equation:
-    """One linear equation ``coeffs . x = rhs``."""
+    """One linear equation ``coeffs . x = rhs``.
 
-    coeffs: tuple[Rat, ...]
-    rhs: Rat
+    It keeps itself as its augmented row in integers: ``row`` is
+    ``coeffs + (rhs,)`` times ``den``, the lcm of their denominators,
+    entry for entry ``exactq.integer_row`` of those rationals. The parser
+    and the generators build ``row`` and ``den`` directly (``_of``); the
+    constructor scales the rationals it is given. ``coeffs`` and ``rhs``
+    are exact ``Fraction`` views, built when first read. The reduced
+    values fix ``row`` and ``den``, so equality and hashing use those two.
+    """
+
+    row: tuple[int, ...]
+    den: int
+
+    def __init__(self, coeffs: Sequence[Rat | int], rhs: Rat | int) -> None:
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*coeffs, rhs)]
+        row, den = _scaled(values)
+        # the instance is frozen, so its fields go straight into its dict
+        vars(self).update(row=tuple(row), den=den)
+
+    @classmethod
+    def _of(cls, row: tuple[int, ...], den: int) -> Equation:
+        """The equation whose augmented row is ``row`` over ``den > 0``,
+        with ``gcd(den, *row) == 1`` as ``integer_row`` leaves it."""
+        eq = cls.__new__(cls)
+        vars(eq).update(row=row, den=den)
+        return eq
+
+    @cached_view
+    def coeffs(self) -> tuple[Rat, ...]:
+        return tuple(Fraction(v, self.den) for v in self.row[:-1])
+
+    @cached_view
+    def rhs(self) -> Rat:
+        return Fraction(self.row[-1], self.den)
+
+    def __repr__(self) -> str:
+        return f"Equation(coeffs={self.coeffs!r}, rhs={self.rhs!r})"
 
 
 def equation(coeffs: Sequence[Rat | int], rhs: Rat | int) -> Equation:
-    return Equation(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+    return Equation(coeffs, rhs)
 
 
 def classify(eq: Equation) -> EquationClass:
     """Degenerate means every unknown coefficient is zero; such an
     equation is consistent exactly when its right side is zero too."""
-    if any(c != 0 for c in eq.coeffs):
+    if any(eq.row[:-1]):
         return EquationClass.NONDEGENERATE_CONSISTENT
-    if eq.rhs == 0:
+    if eq.row[-1] == 0:
         return EquationClass.DEGENERATE_CONSISTENT
     return EquationClass.DEGENERATE_INCONSISTENT
 
@@ -171,7 +206,7 @@ class LinearSystem:
         if self.unknowns < 0:
             raise ValueError("unknown count must be nonnegative")
         for eq in self.equations:
-            if len(eq.coeffs) != self.unknowns:
+            if len(eq.row) != self.unknowns + 1:
                 raise ValueError("all equations must have exactly one coefficient per unknown")
 
     @property
@@ -205,9 +240,10 @@ def witness_satisfies(system: LinearSystem, witness: AffineSolutionSet) -> bool:
 
     The check runs in integers and shares no code with the solver: the
     point becomes numerators ``p`` over one denominator ``w``, each basis
-    vector and each equation ``a . x = b`` is scaled to integers, and
-    every equation needs ``a . p == b * w`` and ``a . v == 0`` for each
-    basis vector ``v``.
+    vector is scaled to integers, each equation ``a . x = b`` is read as
+    its integer row (``Equation.row``, which a positive scale does not
+    change for this test), and every equation needs ``a . p == b * w``
+    and ``a . v == 0`` for each basis vector ``v``.
     """
     k = system.unknowns
     if witness.unknowns != k or any(len(vec) != k for vec in witness.basis):
@@ -216,18 +252,13 @@ def witness_satisfies(system: LinearSystem, witness: AffineSolutionSet) -> bool:
     basis = [_scaled(vec)[0] for vec in witness.basis]
     for eq in system.equations:
         # ``row`` ends in the right side, which ``map`` stops short of
-        row, _ = _scaled(eq.coeffs + (eq.rhs,))
+        row = eq.row
         if sum(map(mul, row, point)) != row[k] * w:
             return False
         for vec in basis:
             if sum(map(mul, row, vec)):
                 return False
     return True
-
-
-def _integer_rows(system: LinearSystem) -> list[list[int]]:
-    """Every augmented row ``coeffs + (rhs,)``, scaled to integers once."""
-    return [integer_row(eq.coeffs + (eq.rhs,)) for eq in system.equations]
 
 
 class _OnFirstUse(dict):
@@ -377,7 +408,7 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     """
     if size < 0 or size > system.n:
         raise ValueError("subsystem size must be between 0 and the equation count")
-    rows = _integer_rows(system)
+    rows = [eq.row for eq in system.equations]
     uncovered = set(echelon(rows, system.unknowns)[1])
     if not uncovered:
         return None
@@ -469,7 +500,7 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     and never appear in one. An inconsistent system whose walk could pass
     ``MAX_CERTIFY_NODES`` nodes is refused with ``ValueError``.
     """
-    rows = _integer_rows(system)
+    rows = [eq.row for eq in system.equations]
     found, bad = echelon(rows, system.unknowns)
     if not bad:
         witness = _witness(found, system.unknowns)
@@ -548,14 +579,13 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
 
     ``_draws`` makes the draws that ``Random.sample`` would, so a report
     replays bit for bit from its own fields, as ``SamplingReport`` says.
-    Rows are scaled to integers when a draw first uses them. The cover
-    is the rows that the canonical point of the fold of the first ``k``
-    rows satisfies, one integer dot product per row, made when a draw
-    first asks; a draw of covered rows is consistent, with that point as
-    witness. The other draws are judged in batches of
+    The cover is the rows that the canonical point of the fold of the
+    first ``k`` rows satisfies, one integer dot product per row, made
+    when a draw first asks; a draw of covered rows is consistent, with
+    that point as witness. The other draws are judged in batches of
     ``SAMPLE_BATCH_INDICES`` indices: a batch is sorted, so that draws
-    share the reduced rows of their common prefixes (``_scan_sets``), and
-    then tallied in draw order. The scan gets the same cover: once a
+    share the reduced rows of their common prefixes (``_scan_sets``),
+    and then tallied in draw order. The scan gets the same cover: once a
     draw's clean prefix has rank ``k``, the point is its only solution,
     and the draw's other rows are settled by their cover bits.
     """
@@ -564,9 +594,9 @@ def sample_consistency(system: LinearSystem, size: int, trials: int, seed: int) 
     if trials < 1:
         raise ValueError("at least one trial required")
     rng = random.Random(seed)
-    k, eqs = system.unknowns, system.equations
-    rows = _OnFirstUse(lambda j: integer_row(eqs[j].coeffs + (eqs[j].rhs,)))
-    found, _ = echelon([rows[j] for j in range(min(k, system.n))], k)
+    k = system.unknowns
+    rows = [eq.row for eq in system.equations]
+    found, _ = echelon(rows[:k], k)
     point, w = _scaled(_witness(found, k).point)  # the canonical point is point / w
     covered = _OnFirstUse(lambda j: sum(map(mul, rows[j], point)) == rows[j][k] * w).__getitem__
     bad = 0

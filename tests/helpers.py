@@ -1,12 +1,13 @@
 """Shared random generators, test-only exact predicates and the reference
-instance writers."""
+instance writers and generators."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from helly import Disk, LinearSystem, disk, linear_system, triple_meet
+from helly import Disk, LinearSystem, disk, equation, linear_system, triple_meet
 from helly.instances import FORMAT_VERSION, _rat_pair
 from helly.radicals import QuadPoint, QuadVal, Vec, sign_of, sign_quartic
 
@@ -95,6 +96,58 @@ def reference_dumps_disks(family) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The instance generators as they were written with ``randint`` and
+# ``Fraction``: the reference that ``helly.instances`` matches, instance
+# for instance, while it draws from ``getrandbits`` and builds integers.
+
+
+def _reference_nonzero_row(rng, k):
+    while True:
+        row = [rng.randint(-5, 5) for _ in range(k)]
+        if any(row):
+            return row
+
+
+def reference_gen_random_linear(n, k, seed) -> LinearSystem:
+    rng = random.Random(seed)
+    eqs = [equation(_reference_nonzero_row(rng, k), rng.randint(-5, 5)) for _ in range(n)]
+    return LinearSystem(k, tuple(eqs))
+
+
+def reference_gen_consistent_linear(n, k, seed) -> LinearSystem:
+    rng = random.Random(seed)
+    solution = [rng.randint(-3, 3) for _ in range(k)]
+    eqs = []
+    for _ in range(n):
+        row = _reference_nonzero_row(rng, k)
+        eqs.append(equation(row, sum(c * x for c, x in zip(row, solution))))
+    return LinearSystem(k, tuple(eqs))
+
+
+def reference_gen_random_disks(n, seed) -> list[Disk]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        x = Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+        y = Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+        r = Fraction(rng.randint(1, 16), rng.randint(1, 4))
+        out.append(Disk(x, y, r))
+    return out
+
+
+def reference_gen_helly_disks(n, seed) -> list[Disk]:
+    rng = random.Random(seed)
+    px = Fraction(rng.randint(-8, 8), 2)
+    py = Fraction(rng.randint(-8, 8), 2)
+    out = []
+    for _ in range(n):
+        x = Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+        y = Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+        r = abs(x - px) + abs(y - py) + Fraction(rng.randint(1, 8), 4)
+        out.append(Disk(x, y, r))
+    return out
 
 
 def random_disk(rng, span=10, rlo=1, rhi=10, den=3) -> Disk:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helly.errors import InvariantViolation
 from helly.exactq import _solve_scaled, bareiss_update, echelon, integer_row, rank, reduced_echelon, solve_affine
-from helly.linear import _integer_rows, _Path, check_subsystem
+from helly.linear import _Path, check_subsystem
 from helly.oracles import naive_rank
 from helpers import random_structured_system
 
@@ -105,7 +105,7 @@ def test_echelon_lists_each_row_inconsistent_with_the_kept_rows_before_it():
     listed = 0
     for _ in range(800):
         s = random_structured_system(rng)
-        _, bad = echelon(_integer_rows(s), s.unknowns)
+        _, bad = echelon([eq.row for eq in s.equations], s.unknowns)
         kept = [i for i in range(s.n) if i not in bad]
         assert bad == sorted(bad) and check_subsystem(s, kept) is not None
         for i in bad:
@@ -184,7 +184,7 @@ def test_solve_affine_matches_a_fraction_gauss_jordan_reference():
         rhs = [eq.rhs for eq in system.equations]
         k = system.unknowns
         want = _gauss_jordan(rows, rhs, k)
-        for got in (solve_affine(rows, rhs, k), _solve_scaled(_integer_rows(system), k)):
+        for got in (solve_affine(rows, rhs, k), _solve_scaled([eq.row for eq in system.equations], k)):
             if want is None:
                 assert got is None
             else:

@@ -8,7 +8,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import helly
 from helly.cli import (
     _GENERATORS,
+    MAX_GEN_COEFFS,
     MAX_GEN_K,
     MAX_GEN_N,
     MAX_PRECISION,
@@ -34,12 +35,13 @@ from helly.instances import (
     gen_helly_disks,
     gen_random_disks,
     gen_random_linear,
-    _parse_rat,
+    _parse_pairs,
     parse_instance,
     tetrahedral_system,
     venn_triple,
 )
-from helly.disks import disk, minimalist_helly_check
+from helly.disks import Disk, disk, minimalist_helly_check
+from helly.exactq import integer_row
 from helly.linear import Equation, LinearSystem, linear_system
 from helly.radicals import point_float
 
@@ -168,7 +170,7 @@ def test_parse_rejects_zero_denominator():
 def test_parse_rat_refuses_anything_but_an_integer_pair(obj):
     want = f"expected a [numerator, denominator] integer pair, got {obj!r}"
     with pytest.raises(ValueError) as err:
-        _parse_rat(obj)
+        _parse_pairs([obj])
     assert str(err.value) == want
     doc = {"version": 1, "kind": "linear", "unknowns": 1, "equations": [{"coeffs": [obj], "rhs": [0, 1]}]}
     with pytest.raises(ValueError) as err:
@@ -178,12 +180,73 @@ def test_parse_rat_refuses_anything_but_an_integer_pair(obj):
 
 def test_parse_rat_values():
     with pytest.raises(ValueError) as err:
-        _parse_rat([1, 0])
+        _parse_pairs([[1, 0]])
     assert str(err.value) == "rational denominator must be nonzero"
     cases = [([2, -4], Fraction(-1, 2)), ([6, 1], Fraction(6)), ([0, -3], Fraction(0)), ([-9, 3], Fraction(-3))]
     for obj, want in cases:
-        got = _parse_rat(obj)
-        assert (got, got.numerator, got.denominator) == (want, want.numerator, want.denominator)
+        # one pair comes back over its own denominator, in lowest terms
+        assert _parse_pairs([obj]) == ([want.numerator], want.denominator)
+
+
+def _random_pair(rng, seen):
+    """A ``[num, den]`` pair, often unreduced, with zero numerators,
+    negative denominators, ``den == 1`` and 400-digit entries among them;
+    ``seen`` collects which of those it was."""
+    def big():
+        return rng.choice([-1, 1]) * rng.randrange(10**399, 10**400)
+
+    roll = rng.random()
+    num = 0 if roll < 0.15 else big() if roll < 0.25 else rng.randint(-12, 12)
+    roll = rng.random()
+    den = 1 if roll < 0.3 else big() if roll < 0.4 else rng.choice([-1, 1]) * rng.randint(1, 12)
+    kinds = {
+        "zero": num == 0,
+        "den-1": den == 1,
+        "negative-den": den < 0,
+        "unreduced": Fraction(num, den).denominator != abs(den),
+        "400-digit": max(abs(num), abs(den)) >= 10**399,
+    }
+    seen.update(k for k, hit in kinds.items() if hit)
+    return [num, den]
+
+
+def test_parse_matches_the_fraction_path_on_random_pairs():
+    rng = random.Random(2025)
+    seen = set()
+    for _ in range(300):
+        k = rng.randint(0, 4)
+        rows = [[_random_pair(rng, seen) for _ in range(k + 1)] for _ in range(rng.randint(0, 5))]
+        doc = {
+            "version": 1,
+            "kind": "linear",
+            "unknowns": k,
+            "equations": [{"coeffs": row[:-1], "rhs": row[-1]} for row in rows],
+        }
+        got = parse_instance(json.dumps(doc))
+        values = [[Fraction(*pair) for pair in row] for row in rows]
+        want = LinearSystem(k, tuple(Equation(v[:-1], v[-1]) for v in values))
+        assert got == want
+        assert [list(eq.row) for eq in got.equations] == [integer_row(v) for v in values]
+        assert [eq.den for eq in got.equations] == [lcm(*(x.denominator for x in v)) for v in values]
+        assert [(*eq.coeffs, eq.rhs) for eq in got.equations] == [tuple(v) for v in values]
+        assert dumps_linear(got) == reference_dumps_linear(want)
+
+        disks = [[_random_pair(rng, seen) for _ in range(3)] for _ in range(rng.randint(0, 5))]
+        for d in disks:
+            num, den = d[2]
+            if Fraction(num, den) <= 0:  # a radius must be positive
+                d[2] = [-num, den] if num else [1, abs(den)]
+        doc = {"version": 1, "kind": "disks", "disks": [{"center": d[:2], "radius": d[2]} for d in disks]}
+        got = parse_instance(json.dumps(doc))
+        values = [[Fraction(*pair) for pair in d] for d in disks]
+        want = [Disk(*v) for v in values]
+        assert got == want
+        for d, v in zip(got, values):
+            m = lcm(*(x.denominator for x in v))
+            assert (d.X, d.Y, d.R, d.M) == (*(x.numerator * (m // x.denominator) for x in v), m)
+            assert (d.x, d.y, d.r) == tuple(v)
+        assert dumps_disks(got) == reference_dumps_disks(want)
+    assert seen == {"zero", "den-1", "negative-den", "unreduced", "400-digit"}
 
 
 def test_parse_rejects_bad_json():
@@ -624,6 +687,25 @@ def test_cli_gen_refuses_oversize_requests(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at most")
+
+
+@pytest.mark.parametrize("kind", ["random-linear", "consistent-linear"])
+def test_cli_gen_refuses_too_many_coefficients_before_generating(kind, capsys, monkeypatch):
+    # each flag is within its own cap; the product is one row past
+    # MAX_GEN_COEFFS, so the generator must never run
+    calls = []
+    name = "gen_" + kind.replace("-", "_")
+    monkeypatch.setattr(helly.instances, name, lambda *a: calls.append(a) or tetrahedral_system())
+    k = MAX_GEN_K
+    n = MAX_GEN_COEFFS // k + 1
+    assert n <= MAX_GEN_N
+    assert main(["gen", kind, "--n", str(n), "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err.startswith("error: --n times --k must be at most")
+    # the shape at the cap is admitted and reaches the generator
+    assert main(["gen", kind, "--n", str(n - 1), "--k", str(k)]) == 0
+    assert calls == [(n - 1, k, 0)]
 
 
 def test_cli_rechecks_an_inconsistent_certificate(tmp_path, capsys, monkeypatch):

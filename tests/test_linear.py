@@ -19,7 +19,7 @@ from helly import (
 )
 import helly.exactq
 import helly.linear
-from helly.exactq import AffineSolutionSet, solve_affine
+from helly.exactq import AffineSolutionSet, integer_row, solve_affine
 from helly.instances import gen_consistent_linear, gen_random_linear, tetrahedral_system
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
 from helpers import random_nondegenerate_system, random_structured_system
@@ -210,18 +210,19 @@ def _count_integer_rows(monkeypatch) -> list[int]:
         return scale(row)
 
     monkeypatch.setattr(helly.exactq, "integer_row", counted)
-    monkeypatch.setattr(helly.linear, "integer_row", counted)
     return calls
 
 
 @pytest.mark.parametrize("consistent", [True, False])
 def test_certify_scales_each_row_once(monkeypatch, consistent):
-    # the whole-system solve and the subset walk share one scaling pass
+    # each row is scaled once, where its equation is made; the whole-system
+    # solve and the subset walk share that stored row and scale none again
     s = gen_consistent_linear(12, 3, seed=4) if consistent else _late_system(1)
     calls = _count_integer_rows(monkeypatch)
     cert = helly_certify(s)
     assert isinstance(cert, Consistent) == consistent
-    assert calls == [s.unknowns + 1] * s.n
+    assert calls == []
+    assert [list(eq.row) for eq in s.equations] == [integer_row(eq.coeffs + (eq.rhs,)) for eq in s.equations]
 
 
 def test_inconsistency_is_monotone_under_supersets():
