@@ -7,7 +7,7 @@ consumes a float or an epsilon.
 """
 
 from .errors import InvariantViolation
-from .exactq import AffineSolutionSet, Rat, rank, rat, solve_affine
+from .exactq import AffineSolutionSet, rank, solve_affine
 from .linear import (
     Consistent,
     Equation,
@@ -50,7 +50,7 @@ from .separation import (
     closest_pair,
     separating_line,
 )
-from .radicals import QuadPoint, QuadVal, qcmp, qpoint, quadpoint, quadval, same_point
+from .radicals import QuadPoint, QuadVal, qpoint, same_point
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "PairRelation",
     "QuadPoint",
     "QuadVal",
-    "Rat",
     "RegionKind",
     "SamplingReport",
     "SeparatingLine",
@@ -92,12 +91,8 @@ __all__ = [
     "linear_system",
     "minimalist_helly_check",
     "pair_relation",
-    "qcmp",
     "qpoint",
-    "quadpoint",
-    "quadval",
     "rank",
-    "rat",
     "same_point",
     "sample_consistency",
     "separating_line",

@@ -64,7 +64,7 @@ from typing import Sequence, Union
 
 from .errors import InvariantViolation
 from .exactq import Rat, cached_view
-from .radicals import QuadPoint, ccw_in_span, point_cmp, qpoint, same_point, sign_one
+from .radicals import QuadPoint, ccw_in_span, point_cmp, same_point, sign_one
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -132,7 +132,7 @@ class PairKind(Enum):
 @dataclass(frozen=True)
 class PairRelation:
     kind: PairKind
-    point: tuple[Rat, Rat] | None = None  # single shared point, when there is one
+    point: QuadPoint | None = None  # single shared point, when there is one
     inner: int | None = None  # 0/1: which argument is the enclosed disk
 
 
@@ -152,7 +152,8 @@ def pair_relation(a: Disk, b: Disk) -> PairRelation:
     The shared point of a tangency is always rational: when d^2 equals a
     squared rational the distance itself is rational. At the common scale
     m it is a's centre plus ra/s of the centre offset, s = ra + rb for an
-    osculation and ra - rb inside: ((ax*s + ra*dx)/(s*m), ...).
+    osculation and ra - rb inside: ((ax*s + ra*dx)/(s*m), ...), with the
+    sign of s moved into the numerators so that the denominator is positive.
     """
     ax, ay, ra, bx, by, rb, m = _scaled(a, b)
     dx, dy = bx - ax, by - ay
@@ -161,7 +162,7 @@ def pair_relation(a: Disk, b: Disk) -> PairRelation:
     if d2 > rsum * rsum:
         return PairRelation(PairKind.DISJOINT)
     if d2 == rsum * rsum:
-        pt = (Fraction(ax * rsum + ra * dx, rsum * m), Fraction(ay * rsum + ra * dy, rsum * m))
+        pt = QuadPoint(ax * rsum + ra * dx, 0, ay * rsum + ra * dy, 0, 0, rsum * m)
         return PairRelation(PairKind.EXTERNAL_OSCULATION, point=pt)
     rdiff = ra - rb
     if d2 > rdiff * rdiff:
@@ -169,7 +170,8 @@ def pair_relation(a: Disk, b: Disk) -> PairRelation:
     if d2 == rdiff * rdiff:
         if d2 == 0:
             return PairRelation(PairKind.EQUAL)
-        pt = (Fraction(ax * rdiff + ra * dx, rdiff * m), Fraction(ay * rdiff + ra * dy, rdiff * m))
+        e = 1 if rdiff > 0 else -1
+        pt = QuadPoint(e * (ax * rdiff + ra * dx), 0, e * (ay * rdiff + ra * dy), 0, 0, e * rdiff * m)
         return PairRelation(PairKind.INTERNAL_TANGENCY, point=pt, inner=0 if ra < rb else 1)
     return PairRelation(PairKind.PROPER_CONTAINMENT, inner=0 if ra < rb else 1)
 
@@ -264,7 +266,7 @@ def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
     if rel.kind is PairKind.DISJOINT:
         return ArcRegion(family, RegionKind.EMPTY)
     if rel.kind is PairKind.EXTERNAL_OSCULATION:
-        return ArcRegion(family, RegionKind.POINT, point=qpoint(*rel.point))
+        return ArcRegion(family, RegionKind.POINT, point=rel.point)
     if rel.kind is PairKind.PROPER_LENS:
         low, high = _lens_corners(a, b)
         return ArcRegion(family, RegionKind.REGION, arcs=(Arc(i, low, high), Arc(j, high, low)))
@@ -342,9 +344,8 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
         else:
             # external osculation, or the new disk inside the carrier
             # touching it: one shared point
-            p = qpoint(*rel.point)
-            if ccw_in_span(p, arc.start, arc.end, carrier.X, carrier.Y, carrier.M):
-                touches.append(p)
+            if ccw_in_span(rel.point, arc.start, arc.end, carrier.X, carrier.Y, carrier.M):
+                touches.append(rel.point)
 
     if not pieces:
         # Containment first: a new disk inside every carrier lies inside
@@ -423,7 +424,7 @@ def triple_meet(a: Disk, b: Disk, c: Disk) -> bool:
             return pair_relation(inner, trio[k]).kind is not PairKind.DISJOINT
     for (i, j), (rel, k) in rels.items():
         if rel.kind is PairKind.EXTERNAL_OSCULATION:
-            return in_disk(qpoint(*rel.point), trio[k])
+            return in_disk(rel.point, trio[k])
     for (i, j), (rel, k) in rels.items():
         for corner in _lens_corners(trio[i], trio[j]):
             if in_disk(corner, trio[k]):

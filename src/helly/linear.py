@@ -388,8 +388,9 @@ def check_subsystem(system: LinearSystem, indices: Iterable[int]) -> AffineSolut
     subsystem is consistent, ``None`` when it is not. The empty selection
     is consistent with the whole space as witness.
     """
-    eqs = [system.equations[i] for i in _validated_indices(system, indices)]
-    return solve_affine([eq.coeffs for eq in eqs], [eq.rhs for eq in eqs], system.unknowns)
+    # a stored row is its equation times a positive integer: same solutions
+    rows = [system.equations[i].row for i in _validated_indices(system, indices)]
+    return solve_affine([row[:-1] for row in rows], [row[-1] for row in rows], system.unknowns)
 
 
 def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...] | None:

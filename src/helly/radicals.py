@@ -1,24 +1,23 @@
 """Exact sign arithmetic over one and two square roots.
 
 Two circles with rational centers and radii meet in points whose
-coordinates look like ``p + q*sqrt(d)`` with rational ``p, q, d``. A
-``QuadPoint`` keeps both coordinates as integer numerators over one
-positive denominator, with one integer radicand:
-((xa + xb*sqrt(d))/w, (ya + yb*sqrt(d))/w). Every question this package
-asks about such points (inside a disk? which is lower? within an arc?)
-reduces, after clearing positive denominators, to the sign of an integer
-expression carrying at most two distinct radicals,
+coordinates look like ``p + q*sqrt(d)`` with rational ``p, q, d``. Such
+a value (``QuadVal``) and point (``QuadPoint``) keep integer numerators
+over one positive denominator, with one integer radicand:
+(p + q*sqrt(d))/w and ((xa + xb*sqrt(d))/w, (ya + yb*sqrt(d))/w). Every
+question this package asks about them (inside a disk? which is lower?
+within an arc? which gap is least?) reduces, after clearing positive
+denominators, to the sign of an integer expression carrying at most two
+distinct radicals,
 
     e0 + e1*sqrt(d1) + e2*sqrt(d2) + e3*sqrt(d1*d2),
 
 and such signs are decidable exactly by comparing squares with careful
 sign bookkeeping: ``sign_one`` for one radical, ``sign_quartic`` for the
-full form. The point predicates (``point_cmp``, ``same_point``,
-``ccw_in_span``) build no ``Fraction``: integers keep the gcd work of
-rational arithmetic out of the disk kernel. ``QuadVal``, the value
-``a + b*sqrt(d)`` with rational a and b and a tidied radicand, serves
-output, the separation query and the oracles; a point shows its
-coordinates as ``QuadVal`` through its ``x`` and ``y`` views.
+full form. No predicate builds a ``Fraction``: integers keep the gcd work
+of rational arithmetic out of the kernel and the separation query. A
+point shows its coordinates as ``QuadVal`` through its ``x`` and ``y``
+views, and a value shows ``Fraction`` parts through ``a`` and ``b``.
 
 No epsilon appears anywhere in this module, and no predicate reads a
 float. The helpers at the bottom are for display only: certified dyadic
@@ -30,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+
+from .exactq import cached_view
 
 _SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -40,43 +40,53 @@ def sign_of(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _normalize(a: Fraction, b: Fraction, d) -> tuple[Fraction, Fraction, int]:
-    """Canonicalize ``a + b*sqrt(d)`` to an integer radicand.
+def _normalize(p: int, q: int, d: int, w: int) -> QuadVal:
+    """The value (p + q*sqrt(d))/w, for w > 0 and d >= 0, in its tidy form.
 
-    Perfect squares fold into the rational part. Small square factors are
-    pulled out to keep radicands tidy, but two equal values may still end
-    up with different radicands; semantic comparisons must go through
-    ``qcmp``, never through field equality.
+    Perfect squares fold into the rational part, small square factors
+    leave the radicand, and one gcd divides all three integers. Two equal
+    values may still keep different radicands (a large square factor
+    stays), so semantic comparisons go through ``qcmp``, never through
+    field equality. Every ``QuadVal`` is built here.
     """
-    if b == 0 or d == 0:
-        return a, Fraction(0), 0
-    df = Fraction(d)
-    if df < 0:
-        raise ValueError("radicand must be nonnegative")
-    n, m = df.numerator, df.denominator
-    rad = n * m
-    b = b / m
-    for p in _SMALL_PRIMES:
-        p2 = p * p
-        while rad % p2 == 0:
-            rad //= p2
-            b *= p
-    s = isqrt(rad)
-    if s * s == rad:
-        return a + b * s, Fraction(0), 0
-    return a, b, rad
+    if q == 0 or d == 0:
+        q = d = 0
+    else:
+        if d < 0:
+            raise ValueError("radicand must be nonnegative")
+        for f in _SMALL_PRIMES:
+            f2 = f * f
+            while d % f2 == 0:
+                d //= f2
+                q *= f
+        s = isqrt(d)
+        if s * s == d:
+            p, q, d = p + q * s, 0, 0
+    g = gcd(p, q, w)
+    return QuadVal(p // g, q // g, d, w // g)
 
 
 @dataclass(frozen=True)
 class QuadVal:
-    """The exact value ``a + b*sqrt(d)`` with integer radicand ``d >= 0``."""
+    """The exact value (p + q*sqrt(d))/w = a + b*sqrt(d), built by
+    ``_normalize``: w > 0, d >= 0, q = 0 when d = 0 and gcd(p, q, w) = 1,
+    so the value and d fix p, q and w. ``a`` and ``b`` are views, built when read."""
 
-    a: Fraction
-    b: Fraction
+    p: int
+    q: int
     d: int
+    w: int
+
+    @cached_view
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.w)
+
+    @cached_view
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.w)
 
     def sign(self) -> int:
-        return sign_one(self.a, self.b, self.d)
+        return sign_one(self.p, self.q, self.d)
 
     @property
     def is_rational(self) -> bool:
@@ -87,41 +97,38 @@ class QuadVal:
             raise ValueError("value carries a nontrivial radical")
         return self.a
 
-    def _coerce(self, other) -> "QuadVal":
-        if isinstance(other, QuadVal):
-            return other
-        return quadval(Fraction(other))
+    def _join(self, other) -> tuple[QuadVal, int]:
+        """``other`` as a ``QuadVal``, and the radicand the two share."""
+        o = other if isinstance(other, QuadVal) else quadval(other)
+        if self.d and o.d and o.d != self.d:
+            raise ArithmeticError("mixing distinct radicands; use qcmp/sign helpers instead")
+        return o, self.d or o.d
 
-    def _join_radicand(self, other: "QuadVal") -> int:
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise ArithmeticError("mixing distinct radicands; use qcmp/sign helpers instead")
+    def __add__(self, other) -> QuadVal:
+        o, d = self._join(other)
+        return _normalize(self.p * o.w + o.p * self.w, self.q * o.w + o.q * self.w, d, self.w * o.w)
 
-    def __add__(self, other) -> "QuadVal":
-        o = self._coerce(other)
-        return quadval(self.a + o.a, self.b + o.b, self._join_radicand(o))
+    def __sub__(self, other) -> QuadVal:
+        o, d = self._join(other)
+        return _normalize(self.p * o.w - o.p * self.w, self.q * o.w - o.q * self.w, d, self.w * o.w)
 
-    def __sub__(self, other) -> "QuadVal":
-        o = self._coerce(other)
-        return quadval(self.a - o.a, self.b - o.b, self._join_radicand(o))
-
-    def __mul__(self, other) -> "QuadVal":
-        o = self._coerce(other)
-        d = self._join_radicand(o)
-        return quadval(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+    def __mul__(self, other) -> QuadVal:
+        o, d = self._join(other)
+        return _normalize(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, d, self.w * o.w)
 
     __rmul__ = __mul__
 
 
 def quadval(a, b=0, d=0) -> QuadVal:
-    an, bn, dn = _normalize(Fraction(a), Fraction(b), d)
-    return QuadVal(an, bn, dn)
+    """The value a + b*sqrt(d) for rationals a, b and d >= 0."""
+    (an, ad), (bn, bd), (dn, dd) = (Fraction(v).as_integer_ratio() for v in (a, b, d))
+    bd *= dd  # sqrt(dn/dd) = sqrt(dn*dd)/dd
+    w = lcm(ad, bd)
+    return _normalize(an * (w // ad), bn * (w // bd), dn * dd, w)
 
 
-def sign_one(a: Fraction, b: Fraction, d) -> int:
-    """Sign of ``a + b*sqrt(d)`` for rational a, b and d >= 0."""
+def sign_one(a: int, b: int, d: int) -> int:
+    """Sign of ``a + b*sqrt(d)`` for d >= 0; a and b may be rational."""
     if b == 0 or d == 0:
         return sign_of(a)
     sb = sign_of(b)
@@ -138,7 +145,7 @@ def sign_one(a: Fraction, b: Fraction, d) -> int:
     return 0
 
 
-def sign_quartic(e0: Fraction, e1: Fraction, e2: Fraction, e3: Fraction, d1, d2) -> int:
+def sign_quartic(e0: int, e1: int, e2: int, e3: int, d1: int, d2: int) -> int:
     """Sign of ``e0 + e1*sqrt(d1) + e2*sqrt(d2) + e3*sqrt(d1*d2)``.
 
     Written as P + Q*sqrt(d2) with P, Q in the field of sqrt(d1); the sign
@@ -170,9 +177,7 @@ def sign_quartic(e0: Fraction, e1: Fraction, e2: Fraction, e3: Fraction, d1, d2)
 
 def qcmp(x: QuadVal, y: QuadVal) -> int:
     """Exact comparison of two values, radicands may differ."""
-    if x.d == y.d:  # one radical left in the difference
-        return sign_one(x.a - y.a, x.b - y.b, x.d)
-    return sign_quartic(x.a - y.a, x.b, -y.b, 0, x.d, y.d)
+    return _cmp(x.p, x.q, x.w, x.d, y.p, y.q, y.w, y.d)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,8 @@ class QuadPoint:
 
     The fields need not be reduced, so two equal points may differ in
     them; compare points with ``same_point`` and ``point_cmp``. ``x`` and
-    ``y`` are the coordinates as ``QuadVal``, built on first use and then
-    kept; the predicates below never read them.
+    ``y`` are the coordinates as ``QuadVal``, built on first read; the
+    predicates below never read them.
     """
 
     xa: int
@@ -201,13 +206,13 @@ class QuadPoint:
         if self.w <= 0 or self.d < 0:
             raise ValueError("a point needs a positive denominator and a nonnegative radicand")
 
-    @cached_property
+    @cached_view
     def x(self) -> QuadVal:
-        return quadval(Fraction(self.xa, self.w), Fraction(self.xb, self.w), self.d)
+        return _normalize(self.xa, self.xb, self.d, self.w)
 
-    @cached_property
+    @cached_view
     def y(self) -> QuadVal:
-        return quadval(Fraction(self.ya, self.w), Fraction(self.yb, self.w), self.d)
+        return _normalize(self.ya, self.yb, self.d, self.w)
 
 
 def qpoint(x, y) -> QuadPoint:
@@ -222,10 +227,9 @@ def quadpoint(x: QuadVal, y: QuadVal) -> QuadPoint:
     d = x.d or y.d
     if y.d not in (0, d):
         raise ValueError("coordinates must share one radicand")
-    parts = (x.a, x.b, y.a, y.b)
-    w = lcm(*(v.denominator for v in parts))
-    xa, xb, ya, yb = (v.numerator * (w // v.denominator) for v in parts)
-    return QuadPoint(xa, xb, ya, yb, d, w)
+    w = lcm(x.w, y.w)
+    fx, fy = w // x.w, w // y.w
+    return QuadPoint(x.p * fx, x.q * fx, y.p * fy, y.q * fy, d, w)
 
 
 def _cmp(a1: int, b1: int, w1: int, d1: int, a2: int, b2: int, w2: int, d2: int) -> int:
@@ -280,12 +284,8 @@ def dist_sq(p: QuadPoint, cx: int, cy: int, m: int) -> QuadVal:
     p - c scaled by w*m is (ux + uxr*sqrt(d), uy + uyr*sqrt(d)); its
     squared length is taken in integers and divided by (w*m)**2 once."""
     ux, uxr, uy, uyr, d = _arm(p, cx, cy, m)
-    den = (p.w * m) ** 2
-    return quadval(
-        Fraction(ux * ux + uy * uy + (uxr * uxr + uyr * uyr) * d, den),
-        Fraction(2 * (ux * uxr + uy * uyr), den),
-        d,
-    )
+    a, b = ux * ux + uy * uy + (uxr * uxr + uyr * uyr) * d, 2 * (ux * uxr + uy * uyr)
+    return _normalize(a, b, d, (p.w * m) ** 2)
 
 
 def ccw_in_span(x: QuadPoint, a: QuadPoint, b: QuadPoint, cx: int, cy: int, m: int) -> bool:
@@ -329,14 +329,16 @@ def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def quad_bounds(v: QuadVal, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of a + b*sqrt(d) with width at most 2**-bits."""
+    """Dyadic enclosure of (p + q*sqrt(d))/w with width at most 2**-bits,
+    from sqrt(d) in [s, s + 1]/2**g for s = isqrt(d * 4**g), where g is
+    ``bits`` plus two guard bits plus the integer bits of q/w reduced."""
     if v.d == 0:
         return v.a, v.a
-    guard = max(abs(v.b.numerator).bit_length() - v.b.denominator.bit_length(), 0) + 2
-    lo, hi = sqrt_bounds(Fraction(v.d), bits + guard)
-    if v.b >= 0:
-        return v.a + v.b * lo, v.a + v.b * hi
-    return v.a + v.b * hi, v.a + v.b * lo
+    c = gcd(v.q, v.w)
+    g = bits + max((abs(v.q) // c).bit_length() - (v.w // c).bit_length(), 0) + 2
+    s = isqrt(v.d << 2 * g)
+    lo, hi = Fraction((v.p << g) + v.q * s, v.w << g), Fraction((v.p << g) + v.q * (s + 1), v.w << g)
+    return (lo, hi) if v.q > 0 else (hi, lo)
 
 
 def point_bounds(p: QuadPoint, bits: int):
@@ -362,9 +364,7 @@ def _nearest_float(a: int, b: int, w: int, d: int) -> float:
 
 def quad_float(v: QuadVal) -> float:
     """The float nearest v, for display."""
-    (an, ad), (bn, bd) = v.a.as_integer_ratio(), v.b.as_integer_ratio()
-    w = lcm(ad, bd)
-    return _nearest_float(an * (w // ad), bn * (w // bd), w, v.d)
+    return _nearest_float(v.p, v.q, v.w, v.d)
 
 
 def point_float(p: QuadPoint) -> tuple[float, float]:

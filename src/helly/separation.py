@@ -11,10 +11,13 @@ disk or of every arc whose angular span contains the foot direction. The
 first strict minimum wins, so a foot at an arc end, which is that corner
 exactly, loses the tie to the corner. One rule decides disjointness for
 every kind: T meets the region exactly when the region contains T's
-center or the minimum center gap is at most T's radius. All comparisons
-are exact sign tests; coordinates that need nested radicals (the
-matching point on T, the pair distance for a corner minimizer) are
-reported as certified dyadic enclosures of configurable width instead.
+center or the minimum center gap is at most T's radius. Each candidate
+is built in integers: a corner's center gap by ``radicals.dist_sq``, a
+foot and its gaps at the common denominator of T and the carrier, as
+``QuadPoint``s and ``QuadVal``s (p + q*sqrt(d))/w, and compared by
+exact integer sign tests (``qcmp``). Coordinates that need nested
+radicals (the matching point on T, the pair distance for a corner
+minimizer) are reported as certified dyadic enclosures instead.
 
 The line through the region-side closest point, perpendicular to the
 connecting segment, always has the whole region on its closed far side
@@ -35,18 +38,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .disks import Arc, ArcRegion, Disk, PairKind, RegionKind, disk_side, pair_relation
+from .disks import Arc, ArcRegion, Disk, PairKind, RegionKind, _scaled, disk_side, pair_relation
 from .radicals import (
     QuadPoint,
     QuadVal,
     Vec,
+    _arm,
+    _normalize,
     ccw_in_span,
     dist_sq,
     qcmp,
-    qpoint,
     quad_bounds,
-    quadpoint,
-    quadval,
     sqrt_bounds,
 )
 
@@ -128,8 +130,9 @@ def _corner(t: Disk, corner: QuadPoint, i: int) -> ClosestPairResult:
     center_gap_sq = dist_sq(corner, t.X, t.Y, t.M)
     gap_sq = None
     if center_gap_sq.is_rational:
-        s = center_gap_sq.rational()
-        gap_sq = quadval(s + t.r * t.r, -2 * t.r, s)
+        # (sqrt(s) - R/M)^2 for s = P/W, where sqrt(s) = sqrt(P*W)/W
+        P, W, R, M = center_gap_sq.p, center_gap_sq.w, t.R, t.M
+        gap_sq = _normalize(M * M * P + R * R * W, -2 * R * M, P * W, W * M * M)
     return ClosestPairResult(t, corner, Corner(i), center_gap_sq, None, gap_sq)
 
 
@@ -139,23 +142,22 @@ def _foot(
     """The carrier-circle point facing t's center (``center``), or None
     when that direction misses the arc's span or t's center is the
     carrier's."""
-    if t.x == carrier.x and t.y == carrier.y:
+    cx, cy, r, tx, ty, rt, m = _scaled(carrier, t)
+    wx, wy = tx - cx, ty - cy
+    if not (wx or wy):
         return None
     if arc is not None and not ccw_in_span(center, arc.start, arc.end, carrier.X, carrier.Y, carrier.M):
         return None
-    wx, wy = t.x - carrier.x, t.y - carrier.y
+    # At the pair's scale m the centre offset is (wx, wy), of length sqrt(d2)
     d2 = wx * wx + wy * wy
-    r = carrier.r
-    on_g = quadpoint(quadval(carrier.x, r * wx / d2, d2), quadval(carrier.y, r * wy / d2, d2))
+    on_g = QuadPoint(cx * d2, r * wx, cy * d2, r * wy, d2, m * d2)
     # t's center outside the carrier circle: its nearest boundary point is
     # back toward the carrier; inside: away from it.
     sign = -1 if d2 > r * r else 1
-    on_t = quadpoint(
-        quadval(t.x, sign * t.r * wx / d2, d2), quadval(t.y, sign * t.r * wy / d2, d2)
-    )
-    gap = quadval(sign * r, -sign, d2) - t.r  # |sqrt(d2) - r| - r_t
+    on_t = QuadPoint(tx * d2, sign * rt * wx, ty * d2, sign * rt * wy, d2, m * d2)
+    gap = _normalize(sign * r - rt, -sign, d2, m)  # |sqrt(d2) - r| - r_t
     # |sqrt(d2) - r|^2, exact in the extension by sqrt(d2)
-    center_gap_sq = quadval(d2 + r * r, -2 * r, d2)
+    center_gap_sq = _normalize(d2 + r * r, -2 * r, d2, m * m)
     return ClosestPairResult(t, on_g, ArcInterior(i), center_gap_sq, on_t, gap * gap)
 
 
@@ -164,7 +166,7 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
     disjoint (checked exactly, a meeting pair raises ValueError)."""
     if g.kind is RegionKind.EMPTY:
         raise ValueError("region is empty; no closest pair exists")
-    center = qpoint(t.x, t.y)
+    center = QuadPoint(t.X, 0, t.Y, 0, 0, t.M)
     if g.contains(center):
         raise ValueError("query disk meets the region")
     if g.kind is RegionKind.FULL:
@@ -179,7 +181,7 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
     for cand in candidates:
         if cand is not None and (best is None or qcmp(cand.center_gap_sq, best.center_gap_sq) < 0):
             best = cand
-    if qcmp(best.center_gap_sq, quadval(t.r * t.r)) <= 0:
+    if qcmp(best.center_gap_sq, _normalize(t.R * t.R, 0, 0, t.M * t.M)) <= 0:
         raise ValueError("query disk meets the region")
     return best
 
@@ -207,7 +209,10 @@ class SeparatingLine:
 
 def separating_line(t: Disk, g: ArcRegion) -> SeparatingLine:
     res = closest_pair(t, g)
-    normal: Vec = (quadval(t.x) - res.on_g.x, quadval(t.y) - res.on_g.y)
+    # t's centre minus the point: the point's arm about t's centre, negated
+    ux, uxr, uy, uyr, e = _arm(res.on_g, t.X, t.Y, t.M)
+    wm = res.on_g.w * t.M
+    normal: Vec = (_normalize(-ux, -uxr, e, wm), _normalize(-uy, -uyr, e, wm))
 
     if g.kind is RegionKind.POINT:
         carriers = tuple(i for i, d in enumerate(g.family) if disk_side(g.point, d) == 0)

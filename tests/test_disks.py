@@ -50,7 +50,7 @@ def test_pair_disjoint():
 def test_pair_external_osculation_point():
     rel = pair_relation(disk(0, 0, 1), disk(2, 0, 1))
     assert rel.kind is PairKind.EXTERNAL_OSCULATION
-    assert rel.point == (1, 0)
+    assert same_point(rel.point, qpoint(1, 0)) and rel.point.d == 0
 
 
 def test_pair_proper_containment():
@@ -62,7 +62,7 @@ def test_pair_proper_containment():
 def test_pair_internal_tangency_point():
     rel = pair_relation(disk(0, 0, 2), disk(1, 0, 1))
     assert rel.kind is PairKind.INTERNAL_TANGENCY
-    assert rel.point == (2, 0)
+    assert same_point(rel.point, qpoint(2, 0)) and rel.point.d == 0
     assert rel.inner == 1
 
 
@@ -70,7 +70,7 @@ def test_pair_internal_tangency_point_mirrored():
     # the smaller disk first: the same point from the same formula
     rel = pair_relation(disk(1, 0, 1), disk(0, 0, 2))
     assert rel.kind is PairKind.INTERNAL_TANGENCY
-    assert rel.point == (2, 0)
+    assert same_point(rel.point, qpoint(2, 0)) and rel.point.d == 0
     assert rel.inner == 0
 
 

@@ -20,7 +20,13 @@ from helly import (
 import helly.exactq
 import helly.linear
 from helly.exactq import AffineSolutionSet, integer_row, solve_affine
-from helly.instances import gen_consistent_linear, gen_random_linear, tetrahedral_system
+from helly.instances import (
+    dumps_linear,
+    gen_consistent_linear,
+    gen_random_linear,
+    parse_instance,
+    tetrahedral_system,
+)
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
 from helpers import random_nondegenerate_system, random_structured_system
 
@@ -61,6 +67,29 @@ def test_check_subsystem_rejects_bad_indices():
     s = tetrahedral_system()
     with pytest.raises(ValueError):
         check_subsystem(s, [0, 4])
+
+
+def test_check_subsystem_solves_the_stored_rows(monkeypatch):
+    # a parsed system keeps integer rows; check_subsystem solves them as
+    # they are, builds no coeffs or rhs view, and still goes through
+    # helly.linear.solve_affine, with the answer of the rational rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_affine(*args)
+
+    monkeypatch.setattr(helly.linear, "solve_affine", counted)
+    rng = random.Random(29)
+    for _ in range(60):
+        s = parse_instance(dumps_linear(random_structured_system(rng)))
+        picks = [rng.sample(range(s.n), rng.randint(0, s.n)) for _ in range(3)]
+        got = [check_subsystem(s, idx) for idx in picks]
+        assert not any({"coeffs", "rhs"} & vars(eq).keys() for eq in s.equations)
+        for idx, sol in zip(picks, got):
+            eqs = [s.equations[i] for i in idx]
+            assert sol == solve_affine([eq.coeffs for eq in eqs], [eq.rhs for eq in eqs], s.unknowns)
+    assert len(calls) == 180
 
 
 def test_all_subsystems_tetra():

@@ -1,5 +1,6 @@
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,44 @@ def test_quadval_arithmetic_and_sign():
     assert ((r2 + 1) * (r2 - 1)).rational() == 1
     with pytest.raises(ArithmeticError):
         _ = quadval(0, 1, 2) + quadval(0, 1, 3)
+
+
+# radicands with square factors, small and large, and fractional ones
+square_radicands = st.one_of(
+    st.builds(lambda d, f: d * f * f, radicands, st.sampled_from([1, 2, 3, 11])),
+    st.fractions(min_value=0, max_value=50, max_denominator=12),
+)
+
+
+def _reference_bounds(v, bits):
+    """``quad_bounds`` in Fraction parts: a + b*sqrt(d) with sqrt(d)
+    enclosed at ``bits`` plus two guard bits plus b's integer bits."""
+    if v.d == 0:
+        return v.a, v.a
+    guard = max(abs(v.b.numerator).bit_length() - v.b.denominator.bit_length(), 0) + 2
+    lo, hi = sqrt_bounds(Fraction(v.d), bits + guard)
+    return (v.a + v.b * lo, v.a + v.b * hi) if v.b > 0 else (v.a + v.b * hi, v.a + v.b * lo)
+
+
+@given(rationals, rationals, rationals, rationals, square_radicands, square_radicands, st.integers(0, 80))
+@settings(max_examples=300, deadline=None)
+def test_quadval_integers_match_the_fraction_formulas(a1, b1, a2, b2, d1, d2, bits):
+    for x in (quadval(a1, b1, d1), quadval(a2, b2, d2)):
+        assert x.w > 0 and gcd(x.p, x.q, x.w) == 1 and (x.q == 0) == (x.d == 0)
+        assert x.a == Fraction(x.p, x.w) and x.b == Fraction(x.q, x.w)
+        assert quad_bounds(x, bits) == _reference_bounds(x, bits)
+    # shared radicand: the sum, difference and product of the parts
+    x, y = quadval(a1, b1, d1), quadval(a2, b2, d1)
+    d = x.d or y.d
+    for got, a, b in (
+        (x + y, x.a + y.a, x.b + y.b),
+        (x - y, x.a - y.a, x.b - y.b),
+        (x * y, x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a),
+    ):
+        assert (got.a, got.b, got.d) == ((a, b, d) if b else (a, 0, 0))
+    # any two values: the comparison of their parts
+    x, y = quadval(a1, b1, d1), quadval(a2, b2, d2)
+    assert qcmp(x, y) == sign_quartic(x.a - y.a, x.b, -y.b, 0, x.d, y.d)
 
 
 def test_qcmp_across_radicands():

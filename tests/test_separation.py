@@ -15,14 +15,13 @@ from helly import (
     intersect_region,
     pair_relation,
     qpoint,
-    quadval,
     same_point,
     separating_line,
     triple_meet,
 )
 from helly.disks import RegionKind
 from helly.instances import gen_helly_disks
-from helly.radicals import ccw_in_span, qcmp, quadpoint, turn_about
+from helly.radicals import ccw_in_span, qcmp, quadpoint, quadval, turn_about
 from helly.separation import _corner
 from helpers import (
     beyond_foot_sign,

@@ -59,3 +59,28 @@ def test_the_witness_recheck_stays_independent_of_the_solver():
                 todo.append(used)
     assert seen >= {"witness_satisfies", "_scaled"}
     assert found == []
+
+
+def test_no_fraction_in_the_decision_paths():
+    # the kernels, the disk walk and clip, the sign tests and the
+    # separation query's candidates run in integers; Fraction (or its
+    # alias Rat) is for the views and the output at the edges
+    decisions = {
+        "exactq.py": {"echelon", "bareiss_update", "reduced_echelon"},
+        "linear.py": {"_scan_sets", "_first_minimum_inconsistent"},
+        "disks.py": {"pair_relation", "_clip", "_walk", "_step", "triple_meet"},
+        "radicals.py": {"sign_one", "sign_quartic", "_cmp", "_turn"},
+        "separation.py": {"_foot", "_corner", "closest_pair"},
+    }
+    found, seen = [], set()
+    for module, names in decisions.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                seen.add((module, fn.name))
+                for node in ast.walk(fn):
+                    used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                    if used in {"Fraction", "Rat"}:
+                        found.append(f"{module} {fn.name} line {node.lineno}: uses {used}")
+    assert seen == {(module, name) for module, names in decisions.items() for name in names}
+    assert found == []
