@@ -8,16 +8,17 @@ circle-intersection coordinates; tangency is never detected by tolerance.
 
 All of it runs in integers. Each disk keeps its centre and radius over
 its own denominator M (``Disk.X``, ``Y``, ``R``, ``M``), and a pair works
-at its common denominator lcm(Ma, Mb) (``_scaled``): its lens corners
-come out as integer numerators over one positive denominator
-(``QuadPoint``), and a side test against a third disk is one integer
-``sign_one``. No family-wide scale is used: integer sizes depend
-only on the disks of one predicate, as they would with ``Fraction``. A
-common denominator L of the whole family would grow with every new
-prime in it. For 600 disks over distinct primes L has about 6,300 bits,
-and clipping them at that scale took 23 s, against 0.84 s in
-``Fraction`` arithmetic and 0.04 s with one denominator per disk
-(CPython 3.11 on a 2-core x86 host).
+at its common denominator lcm(Ma, Mb) (``_scaled``). ``pair_relation``
+scales a pair once and gives its kind and the points where its circles
+meet, from one chord formula that covers crossings and tangencies alike:
+integer numerators over one positive denominator (``QuadPoint``). A
+side test against a third disk is one integer ``sign_one``. No
+family-wide scale is used: integer sizes depend only on the disks of one
+predicate, as they would with ``Fraction``. A common denominator L of
+the whole family would grow with every new prime in it. For 600 disks
+over distinct primes L has about 6,300 bits, and clipping them at that
+scale took 23 s, against 0.84 s in ``Fraction`` arithmetic and 0.04 s
+with one denominator per disk (CPython 3.11 on a 2-core x86 host).
 
 The structural guarantee exercised here: for at least three disks, if
 every three of them meet then they all meet. Read as an LP-type problem
@@ -132,7 +133,7 @@ class PairKind(Enum):
 @dataclass(frozen=True)
 class PairRelation:
     kind: PairKind
-    point: QuadPoint | None = None  # single shared point, when there is one
+    corners: tuple[QuadPoint, QuadPoint] | None = None  # (low, high), when the circles meet
     inner: int | None = None  # 0/1: which argument is the enclosed disk
 
 
@@ -147,33 +148,36 @@ def _scaled(a: Disk, b: Disk) -> tuple[int, int, int, int, int, int, int]:
 
 
 def pair_relation(a: Disk, b: Disk) -> PairRelation:
-    """Classify two disks by comparing d^2 against (r1+r2)^2 and (r1-r2)^2.
+    """Classify two disks by comparing d^2 against (r1+r2)^2 and (r1-r2)^2,
+    and give the points where their circles meet.
 
-    The shared point of a tangency is always rational: when d^2 equals a
-    squared rational the distance itself is rational. At the common scale
-    m it is a's centre plus ra/s of the centre offset, s = ra + rb for an
-    osculation and ra - rb inside: ((ax*s + ra*dx)/(s*m), ...), with the
-    sign of s moved into the numerators so that the denominator is positive.
+    ``corners`` is (low, high), where the portion of a's circle inside b
+    runs counterclockwise from low to high, and None when the circles
+    share no point (disjoint, properly contained or equal). At the common
+    scale m, with the centre offset (dx, dy), d2 = dx^2 + dy^2 and
+    c = d2 + ra^2 - rb^2, the chord's foot is (X, Y)/W for
+    X = 2*d2*ax + c*dx, Y = 2*d2*ay + c*dy and W = 2*d2*m, and the half
+    chord is (dy, -dx)*sqrt(D)/W for D = 4*d2*ra^2 - c^2. At a tangency
+    D = 0, and low and high are the one rational point the circles share.
     """
     ax, ay, ra, bx, by, rb, m = _scaled(a, b)
     dx, dy = bx - ax, by - ay
     d2 = dx * dx + dy * dy
-    rsum = ra + rb
+    rsum, rdiff = ra + rb, ra - rb
     if d2 > rsum * rsum:
         return PairRelation(PairKind.DISJOINT)
+    if d2 < rdiff * rdiff:
+        return PairRelation(PairKind.PROPER_CONTAINMENT, inner=0 if ra < rb else 1)
+    if d2 == 0:
+        return PairRelation(PairKind.EQUAL)
+    c = d2 + ra * ra - rb * rb
+    x, y, e, w = 2 * d2 * ax + c * dx, 2 * d2 * ay + c * dy, 4 * d2 * ra * ra - c * c, 2 * d2 * m
+    corners = QuadPoint(x, dy, y, -dx, e, w), QuadPoint(x, -dy, y, dx, e, w)
     if d2 == rsum * rsum:
-        pt = QuadPoint(ax * rsum + ra * dx, 0, ay * rsum + ra * dy, 0, 0, rsum * m)
-        return PairRelation(PairKind.EXTERNAL_OSCULATION, point=pt)
-    rdiff = ra - rb
+        return PairRelation(PairKind.EXTERNAL_OSCULATION, corners)
     if d2 > rdiff * rdiff:
-        return PairRelation(PairKind.PROPER_LENS)
-    if d2 == rdiff * rdiff:
-        if d2 == 0:
-            return PairRelation(PairKind.EQUAL)
-        e = 1 if rdiff > 0 else -1
-        pt = QuadPoint(e * (ax * rdiff + ra * dx), 0, e * (ay * rdiff + ra * dy), 0, 0, e * rdiff * m)
-        return PairRelation(PairKind.INTERNAL_TANGENCY, point=pt, inner=0 if ra < rb else 1)
-    return PairRelation(PairKind.PROPER_CONTAINMENT, inner=0 if ra < rb else 1)
+        return PairRelation(PairKind.PROPER_LENS, corners)
+    return PairRelation(PairKind.INTERNAL_TANGENCY, corners, inner=0 if ra < rb else 1)
 
 
 def disk_side(p: QuadPoint, d: Disk) -> int:
@@ -196,25 +200,6 @@ def disk_side(p: QuadPoint, d: Disk) -> int:
 
 def in_disk(p: QuadPoint, d: Disk) -> bool:
     return disk_side(p, d) <= 0
-
-
-def _lens_corners(a: Disk, b: Disk) -> tuple[QuadPoint, QuadPoint]:
-    """The two boundary-circle intersection points of a met pair (one
-    point twice for an osculation).
-
-    Returned as (low, high) where the portion of a's circle inside b runs
-    counterclockwise from low to high. At the common scale m, with the
-    centre offset (dx, dy), d2 = dx^2 + dy^2 and c = d2 + ra^2 - rb^2, the
-    chord's foot is (X, Y)/W for X = 2*d2*ax + c*dx, Y = 2*d2*ay + c*dy and
-    W = 2*d2*m, and the half chord is (dy, -dx)*sqrt(D)/W for
-    D = 4*d2*ra^2 - c^2.
-    """
-    ax, ay, ra, bx, by, rb, m = _scaled(a, b)
-    dx, dy = bx - ax, by - ay
-    d2 = dx * dx + dy * dy
-    c = d2 + ra * ra - rb * rb
-    x, y, e, w = 2 * d2 * ax + c * dx, 2 * d2 * ay + c * dy, 4 * d2 * ra * ra - c * c, 2 * d2 * m
-    return QuadPoint(x, dy, y, -dx, e, w), QuadPoint(x, -dy, y, dx, e, w)
 
 
 class RegionKind(Enum):
@@ -261,14 +246,13 @@ class ArcRegion:
 
 def _pair_region(i: int, j: int, family: tuple[Disk, ...]) -> ArcRegion:
     """Intersection of ``family[i]`` and ``family[j]``, indexed into ``family``."""
-    a, b = family[i], family[j]
-    rel = pair_relation(a, b)
+    rel = pair_relation(family[i], family[j])
     if rel.kind is PairKind.DISJOINT:
         return ArcRegion(family, RegionKind.EMPTY)
     if rel.kind is PairKind.EXTERNAL_OSCULATION:
-        return ArcRegion(family, RegionKind.POINT, point=rel.point)
+        return ArcRegion(family, RegionKind.POINT, point=rel.corners[0])
     if rel.kind is PairKind.PROPER_LENS:
-        low, high = _lens_corners(a, b)
+        low, high = rel.corners
         return ArcRegion(family, RegionKind.REGION, arcs=(Arc(i, low, high), Arc(j, high, low)))
     return ArcRegion(family, RegionKind.FULL, full_index=j if rel.inner == 1 else i)
 
@@ -294,6 +278,10 @@ def _span_pieces(
     it lies in the new disk; ``u_in`` and ``v_in`` are those two tests,
     made once per region corner by the caller. As [a, b] is one interval
     of the circle, they leave four cases and at most one span test.
+
+    a == b when the circles only touch. Then [a, b] is the touch point,
+    and it comes back as one degenerate piece when the arc holds it, or
+    not at all.
     """
     if u_in and v_in:
         # Either the arc stays inside, or it leaves at b and comes back at a.
@@ -331,21 +319,15 @@ def _clip(region: ArcRegion, new_index: int) -> ArcRegion:
         if rel.kind is PairKind.EQUAL or rel.inner == 0:
             # the carrier circle lies in the new disk
             pieces.append(arc)
-        elif rel.kind in (PairKind.DISJOINT, PairKind.PROPER_CONTAINMENT):
-            continue
-        elif rel.kind is PairKind.PROPER_LENS:
-            low, high = _lens_corners(carrier, new)
+        elif rel.corners is not None:
+            # a lens, or one touch point when low and high coincide
+            low, high = rel.corners
             u_in, v_in = inside[i], inside[(i + 1) % len(inside)]
             for s, e in _span_pieces(arc.start, arc.end, low, high, u_in, v_in, carrier):
                 if same_point(s, e):
                     touches.append(s)
                 else:
                     pieces.append(Arc(arc.disk, s, e))
-        else:
-            # external osculation, or the new disk inside the carrier
-            # touching it: one shared point
-            if ccw_in_span(rel.point, arc.start, arc.end, carrier.X, carrier.Y, carrier.M):
-                touches.append(rel.point)
 
     if not pieces:
         # Containment first: a new disk inside every carrier lies inside
@@ -406,30 +388,22 @@ def triple_meet(a: Disk, b: Disk, c: Disk) -> bool:
     """Exact emptiness test for a three-disk intersection.
 
     Case split: a missing pair settles it; a contained disk reduces the
-    triple to a pair; an osculating pair pins the candidate point; with
-    all pairs properly met, the triple meets exactly when some pair's
-    circle-intersection point lies in the third disk.
+    triple to a pair; with every pair crossing or touching externally,
+    the triple meets exactly when some pair's meeting point lies in the
+    third disk.
     """
     trio = (a, b, c)
-    pairs = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-    rels = {}
-    for i, j, k in pairs:
+    rels = []
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         rel = pair_relation(trio[i], trio[j])
         if rel.kind is PairKind.DISJOINT:
             return False
-        rels[(i, j)] = (rel, k)
-    for (i, j), (rel, k) in rels.items():
+        rels.append((i, j, k, rel))
+    for i, j, k, rel in rels:
         if rel.kind in (PairKind.EQUAL, PairKind.INTERNAL_TANGENCY, PairKind.PROPER_CONTAINMENT):
             inner = trio[i] if (rel.kind is PairKind.EQUAL or rel.inner == 0) else trio[j]
             return pair_relation(inner, trio[k]).kind is not PairKind.DISJOINT
-    for (i, j), (rel, k) in rels.items():
-        if rel.kind is PairKind.EXTERNAL_OSCULATION:
-            return in_disk(rel.point, trio[k])
-    for (i, j), (rel, k) in rels.items():
-        for corner in _lens_corners(trio[i], trio[j]):
-            if in_disk(corner, trio[k]):
-                return True
-    return False
+    return any(in_disk(corner, trio[k]) for _, _, k, rel in rels for corner in rel.corners)
 
 
 @dataclass(frozen=True)
@@ -466,13 +440,14 @@ def _pair_lowest(a: Disk, b: Disk) -> QuadPoint | None:
     """Lowest point of a ∩ b, or None when the two are disjoint: a bottom
     that lies in the other disk, or else the lower lens corner (both
     corners are the touch point of an external osculation)."""
-    if pair_relation(a, b).kind is PairKind.DISJOINT:
+    rel = pair_relation(a, b)
+    if rel.kind is PairKind.DISJOINT:
         return None
     for c, o in ((a, b), (b, a)):
         p = _bottom(c)
         if in_disk(p, o):
             return p
-    low, high = _lens_corners(a, b)
+    low, high = rel.corners
     return high if point_cmp(high, low) < 0 else low
 
 

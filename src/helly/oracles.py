@@ -11,15 +11,16 @@ as the integer row an ``Equation`` keeps. The command line also
 re-checks every inconsistent certificate with
 ``is_minimal_inconsistent`` before it prints one.
 
-The disk oracles share only the pair classifier ``pair_relation`` and
-the sign tests ``sign_one`` and ``qcmp`` with the kernel. They scale
-each disk to integers themselves (``_scale``), from its rational centre
-and radius rather than the (X, Y, R, M) it keeps, and own the integer
-formulas for a lens corner (``_lens_corners``) and for the side of a
-point against a disk (``_side``, behind ``inside``), as references for
-the production kernel rather than a second path through it. The command
-line re-checks a common point with ``inside`` against every disk, and a
-violating triple with ``lowest_common_point``, before it prints either.
+The disk oracles share only the pair classifier ``pair_relation``, of
+which they read only the ``kind``, and the sign tests ``sign_one`` and
+``qcmp`` with the kernel. They scale each disk to integers themselves
+(``_scale``), from its rational centre and radius rather than the
+(X, Y, R, M) it keeps, and own the integer formulas for a lens corner
+(``_lens_corners``) and for the side of a point against a disk
+(``_side``, behind ``inside``), as references for the production kernel
+rather than a second path through it. The command line re-checks a
+common point with ``inside`` against every disk, and a violating triple
+with ``lowest_common_point``, before it prints either.
 """
 
 from __future__ import annotations

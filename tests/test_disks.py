@@ -22,7 +22,7 @@ from helly import (
 )
 import helly.disks
 import helly.radicals
-from helly.disks import _lens_corners, disk_side, walk_order
+from helly.disks import disk_side, walk_order
 from helly.instances import gen_helly_disks, venn_triple
 from helly.oracles import GridSpec, grid_meet_oracle, inside, lowest_common_point
 from helly.radicals import quadpoint, quadval
@@ -50,7 +50,7 @@ def test_pair_disjoint():
 def test_pair_external_osculation_point():
     rel = pair_relation(disk(0, 0, 1), disk(2, 0, 1))
     assert rel.kind is PairKind.EXTERNAL_OSCULATION
-    assert same_point(rel.point, qpoint(1, 0)) and rel.point.d == 0
+    assert same_point(rel.corners[0], qpoint(1, 0)) and rel.corners[0].d == 0
 
 
 def test_pair_proper_containment():
@@ -62,7 +62,7 @@ def test_pair_proper_containment():
 def test_pair_internal_tangency_point():
     rel = pair_relation(disk(0, 0, 2), disk(1, 0, 1))
     assert rel.kind is PairKind.INTERNAL_TANGENCY
-    assert same_point(rel.point, qpoint(2, 0)) and rel.point.d == 0
+    assert same_point(rel.corners[0], qpoint(2, 0)) and rel.corners[0].d == 0
     assert rel.inner == 1
 
 
@@ -70,7 +70,7 @@ def test_pair_internal_tangency_point_mirrored():
     # the smaller disk first: the same point from the same formula
     rel = pair_relation(disk(1, 0, 1), disk(0, 0, 2))
     assert rel.kind is PairKind.INTERNAL_TANGENCY
-    assert same_point(rel.point, qpoint(2, 0)) and rel.point.d == 0
+    assert same_point(rel.corners[0], qpoint(2, 0)) and rel.corners[0].d == 0
     assert rel.inner == 0
 
 
@@ -140,8 +140,9 @@ def test_disk_side_matches_the_quadval_form():
         fam = lattice_family(rng, den=1 + n % 2)
         points = [qpoint(d.x, d.y - d.r) for d in fam]
         for a, b in itertools.combinations(fam, 2):
-            if pair_relation(a, b).kind in (PairKind.PROPER_LENS, PairKind.EXTERNAL_OSCULATION):
-                points.extend(_lens_corners(a, b))
+            rel = pair_relation(a, b)
+            if rel.kind in (PairKind.PROPER_LENS, PairKind.EXTERNAL_OSCULATION):
+                points.extend(rel.corners)
         for p in points:
             for d in fam:
                 side = disk_side(p, d)
@@ -590,3 +591,22 @@ def test_kernel_builds_no_quadval(monkeypatch):
     assert len(intersect_region(ring).arcs) == 40
     assert isinstance(minimalist_helly_check(planted), CommonPoint)
     assert calls["normalize"] == 0
+
+
+def test_clipping_scales_each_pair_once(monkeypatch):
+    # pair_relation gives the corners with the kind, so a clip scales each
+    # (carrier, new disk) pair to its common denominator once
+    long_clip = sorted(gen_helly_disks(40, 7), key=lambda d: d.r, reverse=True)
+    calls = Counter()
+    for name in ("_scaled", "pair_relation"):
+        inner = getattr(helly.disks, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(helly.disks, name, counted)
+    for family, pairs in ((ring_family(40), 780), (long_clip, 170)):
+        calls.clear()
+        intersect_region(family)
+        assert calls["pair_relation"] == calls["_scaled"] == pairs

@@ -15,6 +15,7 @@ from helly import (
     linear_system,
     pair_relation,
     qpoint,
+    same_point,
 )
 from helly.instances import gen_consistent_linear, tetrahedral_system, venn_triple
 from helly.oracles import (
@@ -141,23 +142,29 @@ def test_disk_oracles_agree_with_the_kernel_on_prime_denominators():
     # every disk over its own prime, one in three tangent to an earlier one
     rng = random.Random(18002)
     seen = Counter()
+    tangent = (PairKind.EXTERNAL_OSCULATION, PairKind.INTERNAL_TANGENCY)
     for _ in range(80):
         fam = prime_family(rng, rng.randint(3, 7))
         points = [qpoint(d.x, d.y - d.r) for d in fam]
         for a, b in combinations(fam, 2):
-            kind = pair_relation(a, b).kind
-            if kind not in (PairKind.PROPER_LENS, PairKind.EXTERNAL_OSCULATION):
-                continue
-            seen[kind] += 1
-            for c in _lens_corners(a, b):
-                # the radicand vanishes exactly at a tangency
-                assert (c.d == 0) == (kind is PairKind.EXTERNAL_OSCULATION), (a, b)
-                assert quadval_disk_side(c, a) == 0 == quadval_disk_side(c, b), (a, b)
-                points.append(c)
+            for x, y in ((a, b), (b, a)):
+                rel = pair_relation(x, y)
+                if rel.kind not in (PairKind.PROPER_LENS, *tangent):
+                    assert rel.corners is None, (x, y)
+                    continue
+                seen[rel.kind] += 1
+                # the kernel's (low, high) is the oracle's, point for point
+                for c, o in zip(rel.corners, _lens_corners(x, y), strict=True):
+                    assert same_point(c, o), (x, y)
+                    # the radicand vanishes exactly at a tangency
+                    assert (c.d == 0) == (rel.kind in tangent), (x, y)
+                    assert quadval_disk_side(c, x) == 0 == quadval_disk_side(c, y), (x, y)
+                    points.append(c)
         for p in points:
             for d in fam:
                 expected = quadval_disk_side(p, d) <= 0
                 assert inside(p, d) == in_disk(p, d) == expected, (p, d)
                 seen[expected] += 1
     assert min(seen[PairKind.EXTERNAL_OSCULATION], seen[PairKind.PROPER_LENS]) > 30, seen
+    assert seen[PairKind.INTERNAL_TANGENCY] > 30, seen
     assert min(seen[True], seen[False]) > 1000, seen

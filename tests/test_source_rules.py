@@ -22,8 +22,10 @@ def test_the_oracles_stay_independent_of_the_kernel():
     # helly.oracles re-checks what the integer kernel found, so it borrows
     # neither the kernel's elimination (helly.exactq), nor the integers a
     # Disk or an Equation keeps of itself, nor the kernel's side test and
-    # corner formula: it scales from x, y, r and coeffs, rhs itself
+    # corner formula, which pair_relation hands out as a relation's corners:
+    # it scales from x, y, r and coeffs, rhs itself
     kernel_names = {"in_disk", "_lens_corners"}
+    kernel_attrs = {"X", "Y", "R", "M", "row", "den", "corners", *kernel_names}
     found = []
     for node in ast.walk(ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -33,7 +35,7 @@ def test_the_oracles_stay_independent_of_the_kernel():
                 found.append(f"line {node.lineno}: imports exactq")
             if module.split(".")[-1] == "disks" and names & kernel_names:
                 found.append(f"line {node.lineno}: imports {sorted(names & kernel_names)}")
-        elif isinstance(node, ast.Attribute) and node.attr in {"X", "Y", "R", "M", "row", "den", *kernel_names}:
+        elif isinstance(node, ast.Attribute) and node.attr in kernel_attrs:
             found.append(f"line {node.lineno}: reads .{node.attr}")
     assert found == []
 

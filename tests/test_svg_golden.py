@@ -4,7 +4,9 @@ they are made of.
 Each case is a seeded family and an optional query index; the golden is
 the sha256 of ``cli._svg_doc`` for it. The cases cover the long-clip shape
 with and without its far query, a point region, a full-disk region, a
-corner closest to the query, prime denominators and a ring.
+corner closest to the query, prime denominators, a ring, and two lattice
+families whose clips meet a disk touching a carrier: from inside
+(seed 75), and from outside, leaving a point region (seed 109).
 """
 
 import hashlib
@@ -19,13 +21,18 @@ from helly.cli import _svg_doc
 from helly.disks import RegionKind
 from helly.instances import gen_helly_disks, gen_random_disks
 from helly.radicals import point_bounds, point_float, quad_float
-from helpers import prime_family, ring_family
+from helpers import lattice_family, prime_family, ring_family
 
 
 def _long_clip(seed):
     family = gen_helly_disks(40, seed)
     family.sort(key=lambda d: d.r, reverse=True)
     return family
+
+
+def _lattice(seed, query=False):
+    family = lattice_family(random.Random(seed), 1)
+    return family + [disk(1000, 1000, 1)] if query else family
 
 
 CASES = {
@@ -42,6 +49,10 @@ CASES = {
     ),
     "ring": (lambda: ring_family(20), None),
     "ring-query": (lambda: ring_family(20) + [disk(5, 1, 1)], 20),
+    "lattice-inner-touch": (lambda: _lattice(75), None),
+    "lattice-inner-touch-far-query": (lambda: _lattice(75, query=True), 5),
+    "lattice-outer-touch": (lambda: _lattice(109), None),
+    "lattice-outer-touch-far-query": (lambda: _lattice(109, query=True), 5),
 }
 
 # sha256 of each drawing, pinned from the Fraction-vector drawing code
@@ -50,6 +61,10 @@ GOLDEN = {
     "corner-query": "434762af3a26f1d2cb5b63e19638fbafee70ff2826a56d3e34efa030bf6ac0aa",
     "full-region-query": "e66ef0bb2858314d4d11c01ff73c992381ab75203f874e51a0c6a4c028c3036a",
     "helly-near-query": "3f7ba9739ef099031f281ba6fd92f0622612faa17a31c40055338b1247b8925c",
+    "lattice-inner-touch": "a235d2df1a3d344a8507c797a3150b007208a7ab5964f07790f34fa8af89b5e6",
+    "lattice-inner-touch-far-query": "c7a1dc38fb0dd94af94b90a091d195784bebf4ec9ce6896fed7fb8ae0b19d30f",
+    "lattice-outer-touch": "c2d6d89dc6cedfc49df2a4cd3a4c91fcff9404bda5fceb34d143bec54b7c04c9",
+    "lattice-outer-touch-far-query": "ff83e86cd307c9a70075a03b94a28597e53a9644c7cc016672ba9722fbf6b121",
     "long-clip": "c40c7827200182d888d29e2367a0afde38ed3c6f3060e152605569ee0ca52be5",
     "long-clip-far-query": "04b9aff48559d2e38bfa28a6cabfd48f935d3bc01607c421acd03d6601d1726b",
     "point-region-query": "7935982a8ac385950de25ed6b5c00f5b785a228ac40360336ff6a35eb5c6805d",
