@@ -19,7 +19,6 @@ from .linear import (
     all_subsystems_consistent,
     check_subsystem,
     classify,
-    equation,
     helly_certify,
     linear_system,
     sample_consistency,
@@ -84,7 +83,6 @@ __all__ = [
     "closest_pair",
     "disk",
     "disk_side",
-    "equation",
     "helly_certify",
     "in_disk",
     "intersect_region",

@@ -361,19 +361,15 @@ def intersect_region(family: Sequence[Disk]) -> ArcRegion:
     """Intersection of every disk in the family, by incremental clipping.
 
     Starts from the first disk as a full-disk region and clips with each
-    subsequent one, stopping once the region is empty. Duplicates are
-    removed up front (first occurrence kept); arc and full-disk indices
-    refer to the family as given.
+    subsequent one, stopping once the region is empty. Arc and full-disk
+    indices refer to the family as given; a clip by a copy of a carrier
+    keeps the carrier, so an index names the first of equal disks.
     """
     disks = tuple(family)
     if not disks:
         raise ValueError("family must be nonempty")
-    first: dict[Disk, int] = {}
-    for i, d in enumerate(disks):
-        first.setdefault(d, i)
-    keep = list(first.values())
-    region = ArcRegion(disks, RegionKind.FULL, full_index=keep[0])
-    for idx in keep[1:]:
+    region = ArcRegion(disks, RegionKind.FULL, full_index=0)
+    for idx in range(1, len(disks)):
         region = _clip(region, idx)
         if region.is_empty:
             break

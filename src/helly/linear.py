@@ -181,10 +181,6 @@ class Equation:
         return f"Equation(coeffs={self.coeffs!r}, rhs={self.rhs!r})"
 
 
-def equation(coeffs: Sequence[Rat | int], rhs: Rat | int) -> Equation:
-    return Equation(coeffs, rhs)
-
-
 def classify(eq: Equation) -> EquationClass:
     """Degenerate means every unknown coefficient is zero; such an
     equation is consistent exactly when its right side is zero too."""
@@ -216,17 +212,14 @@ class LinearSystem:
     def satisfied_by(self, point: Sequence[Rat | int]) -> bool:
         if len(point) != self.unknowns:
             raise ValueError("dimension mismatch")
-        pt = [Fraction(p) for p in point]
-        return all(
-            sum(c * x for c, x in zip(eq.coeffs, pt)) == eq.rhs for eq in self.equations
-        )
+        return witness_satisfies(self, AffineSolutionSet(tuple(map(Fraction, point)), ()))
 
 
 def linear_system(rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int]) -> LinearSystem:
     if len(rows) != len(rhs):
         raise ValueError("one right-hand side per row required")
     k = len(rows[0]) if rows else 0
-    return LinearSystem(k, tuple(equation(r, b) for r, b in zip(rows, rhs)))
+    return LinearSystem(k, tuple(Equation(r, b) for r, b in zip(rows, rhs)))
 
 
 def _scaled(values: Sequence[Rat | int]) -> tuple[list[int], int]:

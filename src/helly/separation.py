@@ -15,9 +15,9 @@ center or the minimum center gap is at most T's radius. Each candidate
 is built in integers: a corner's center gap by ``radicals.dist_sq``, a
 foot and its gaps at the common denominator of T and the carrier, as
 ``QuadPoint``s and ``QuadVal``s (p + q*sqrt(d))/w, and compared by
-exact integer sign tests (``qcmp``). Coordinates that need nested
-radicals (the matching point on T, the pair distance for a corner
-minimizer) are reported as certified dyadic enclosures instead.
+exact integer sign tests (``qcmp``). Nested radicals are certified dyadic
+enclosures: the matching point on T, from the same ``radicals._arm``
+offset as the line's normal, and the pair distance for a corner minimizer.
 
 The line through the region-side closest point, perpendicular to the
 connecting segment, always has the whole region on its closed far side
@@ -114,12 +114,15 @@ class ClosestPairResult:
         if self.on_t_exact is not None:
             return quad_bounds(self.on_t_exact.x, bits), quad_bounds(self.on_t_exact.y, bits)
         t = self.query
+        ux, uxr, uy, uyr, e = _arm(self.on_g, t.X, t.Y, t.M)  # on_g minus t's centre
+        wm = self.on_g.w * t.M
+        offsets = ((_normalize(ux, uxr, e, wm), t.x), (_normalize(uy, uyr, e, wm), t.y))
         for work, _, (den_lo, den_hi) in self._gap_enclosures(bits):
             if den_lo <= 0:
                 continue
             out = []
-            for coord, c in ((self.on_g.x, t.x), (self.on_g.y, t.y)):
-                u_lo, u_hi = quad_bounds(coord - c, work)
+            for offset, c in offsets:
+                u_lo, u_hi = quad_bounds(offset, work)
                 quots = [u_lo / den_lo, u_lo / den_hi, u_hi / den_lo, u_hi / den_hi]
                 out.append((c + t.r * min(quots), c + t.r * max(quots)))
             if all(hi - lo <= Fraction(1, 2**bits) for lo, hi in out):
@@ -155,10 +158,11 @@ def _foot(
     # back toward the carrier; inside: away from it.
     sign = -1 if d2 > r * r else 1
     on_t = QuadPoint(tx * d2, sign * rt * wx, ty * d2, sign * rt * wy, d2, m * d2)
-    gap = _normalize(sign * r - rt, -sign, d2, m)  # |sqrt(d2) - r| - r_t
-    # |sqrt(d2) - r|^2, exact in the extension by sqrt(d2)
+    a = sign * r - rt  # |sqrt(d2) - r| - r_t is (a - sign*sqrt(d2))/m
+    # its square and |sqrt(d2) - r|^2, exact in the extension by sqrt(d2)
     center_gap_sq = _normalize(d2 + r * r, -2 * r, d2, m * m)
-    return ClosestPairResult(t, on_g, ArcInterior(i), center_gap_sq, on_t, gap * gap)
+    gap_sq = _normalize(a * a + d2, -2 * sign * a, d2, m * m)
+    return ClosestPairResult(t, on_g, ArcInterior(i), center_gap_sq, on_t, gap_sq)
 
 
 def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:

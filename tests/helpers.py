@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from helly import Disk, LinearSystem, disk, equation, linear_system, triple_meet
+from helly import Disk, Equation, LinearSystem, disk, linear_system, triple_meet
 from helly.instances import FORMAT_VERSION, _rat_pair
 from helly.radicals import QuadPoint, QuadVal, Vec, sign_of, sign_quartic
 
@@ -112,7 +112,7 @@ def _reference_nonzero_row(rng, k):
 
 def reference_gen_random_linear(n, k, seed) -> LinearSystem:
     rng = random.Random(seed)
-    eqs = [equation(_reference_nonzero_row(rng, k), rng.randint(-5, 5)) for _ in range(n)]
+    eqs = [Equation(_reference_nonzero_row(rng, k), rng.randint(-5, 5)) for _ in range(n)]
     return LinearSystem(k, tuple(eqs))
 
 
@@ -122,7 +122,7 @@ def reference_gen_consistent_linear(n, k, seed) -> LinearSystem:
     eqs = []
     for _ in range(n):
         row = _reference_nonzero_row(rng, k)
-        eqs.append(equation(row, sum(c * x for c, x in zip(row, solution))))
+        eqs.append(Equation(row, sum(c * x for c, x in zip(row, solution))))
     return LinearSystem(k, tuple(eqs))
 
 

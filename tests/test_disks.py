@@ -23,7 +23,7 @@ from helly import (
 import helly.disks
 import helly.radicals
 from helly.disks import disk_side, walk_order
-from helly.instances import gen_helly_disks, venn_triple
+from helly.instances import gen_helly_disks, gen_random_disks, venn_triple
 from helly.oracles import GridSpec, grid_meet_oracle, inside, lowest_common_point
 from helly.radicals import quadpoint, quadval
 from helly.separation import ArcInterior, separating_line
@@ -260,6 +260,31 @@ def test_duplicates_do_not_change_result():
     assert len(a.arcs) == len(b.arcs)
     for p in a.corners():
         assert any(same_point(p, q) for q in b.corners())
+    # seeded families with 1-5 copies of their own disks, each after the
+    # disk it copies: the same region, with every index naming the first
+    # of equal disks
+    rng = random.Random(2828)
+    families = [gen_helly_disks(rng.randint(3, 16), seed) for seed in range(20)]
+    families += [gen_random_disks(rng.randint(3, 6), seed) for seed in range(20)]
+    families += [lattice_family(rng, rng.choice((1, 2))) for _ in range(120)]
+    families.append(ring_family(40))
+    for fam in families:
+        with_dups = list(fam)
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randrange(len(with_dups))
+            with_dups.insert(rng.randint(i + 1, len(with_dups)), with_dups[i])
+        a, b = intersect_region(fam), intersect_region(with_dups)
+        assert a.kind == b.kind, fam
+        if a.kind is RegionKind.FULL:
+            assert fam[a.full_index] == with_dups[b.full_index], fam
+        elif a.kind is RegionKind.POINT:
+            assert same_point(a.point, b.point), fam
+        assert len(a.arcs) == len(b.arcs), fam
+        for x, y in zip(a.arcs, b.arcs):
+            assert fam[x.disk] == with_dups[y.disk], fam
+            assert same_point(x.start, y.start) and same_point(x.end, y.end), fam
+        indices = [b.full_index] if b.kind is RegionKind.FULL else [arc.disk for arc in b.arcs]
+        assert all(with_dups.index(with_dups[i]) == i for i in indices), fam
 
 
 def test_empty_family_rejected():

@@ -724,6 +724,62 @@ def test_cli_rechecks_an_inconsistent_certificate(tmp_path, capsys, monkeypatch)
         assert captured.err.startswith("internal error: subsystem")
 
 
+def test_cli_reports_a_fold_without_a_minimum_subsystem(tmp_path, capsys, monkeypatch):
+    import helly.linear
+
+    path = _gen(tmp_path, "tetrahedron", "t.json")
+    capsys.readouterr()
+    monkeypatch.setattr(helly.linear, "_first_minimum_inconsistent", lambda rows, k, bad: None)
+    assert main(["linear", "certify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: inconsistent system with no inconsistent subsystem")
+
+
+def test_cli_reports_a_walk_triple_that_meets(tmp_path, capsys, monkeypatch):
+    import helly.disks
+
+    path = tmp_path / "venn3.json"
+    path.write_text(dumps_disks(venn_triple()))
+    monkeypatch.setattr(helly.disks, "triple_meet", lambda a, b, c: True)
+    assert main(["disks", "check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the walk named disks")
+
+
+_TWO_MET_ONE_APART = [disk(0, 0, 1), disk(10, 0, 1), disk(5, 5, 1)]
+
+
+@pytest.mark.parametrize(
+    "text, query, threads, message",
+    [
+        (dumps_disks(venn_triple()), "-1", None, "query index -1 out of range"),
+        (dumps_disks(venn_triple()), "3", None, "query index 3 out of range"),
+        (dumps_disks(venn_triple()[:1]), "0", None, "query needs at least one other disk"),
+        (dumps_disks(_TWO_MET_ONE_APART), "2", None, "the other disks have empty intersection"),
+        (dumps_disks(venn_triple()), None, "-1", "HELLY_THREADS must be nonnegative"),
+        ("[]", None, None, "instance document must be a JSON object"),
+        ('{"version": 1, "kind": "linear", "unknowns": 1, "equations": {}}', None, None,
+         "'equations' must be a list"),
+    ],
+    ids=["query-negative", "query-past-end", "one-disk", "others-empty", "threads-negative",
+         "not-an-object", "equations-not-a-list"],
+)
+def test_cli_svg_input_errors_write_nothing(tmp_path, capsys, monkeypatch, text, query, threads, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    out = tmp_path / "out.svg"
+    if threads is not None:
+        monkeypatch.setenv("HELLY_THREADS", threads)
+    argv = ["disks", "svg", str(path), "--out", str(out)] + (["--query", query] if query else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_cli_rechecks_a_common_point(tmp_path, capsys, monkeypatch):
     import helly.cli
     from helly.disks import CommonPoint

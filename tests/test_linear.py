@@ -6,12 +6,12 @@ import pytest
 
 from helly import (
     Consistent,
+    Equation,
     EquationClass,
     Inconsistent,
     all_subsystems_consistent,
     check_subsystem,
     classify,
-    equation,
     helly_certify,
     linear_system,
     sample_consistency,
@@ -32,15 +32,15 @@ from helpers import random_nondegenerate_system, random_structured_system
 
 
 def test_classify_degenerate_inconsistent():
-    assert classify(equation([0, 0, 0], 1)) is EquationClass.DEGENERATE_INCONSISTENT
+    assert classify(Equation([0, 0, 0], 1)) is EquationClass.DEGENERATE_INCONSISTENT
 
 
 def test_classify_degenerate_consistent():
-    assert classify(equation([0, 0, 0], 0)) is EquationClass.DEGENERATE_CONSISTENT
+    assert classify(Equation([0, 0, 0], 0)) is EquationClass.DEGENERATE_CONSISTENT
 
 
 def test_classify_nondegenerate():
-    assert classify(equation([1, 1, 1], 1)) is EquationClass.NONDEGENERATE_CONSISTENT
+    assert classify(Equation([1, 1, 1], 1)) is EquationClass.NONDEGENERATE_CONSISTENT
 
 
 def test_tetra_three_subsets_have_printed_witnesses():

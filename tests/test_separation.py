@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -299,6 +300,30 @@ def test_on_t_enclosure_tightens():
     # geometric expectation: on_t = (4,0) - unit_x = (3, 0)
     assert abs(float(xlo) - 3.0) < 1e-9
     assert abs(float(ylo) - 0.0) < 1e-9
+
+
+def test_on_t_retries_until_the_root_clears_zero():
+    # a query disk of radius 2**-81 just above the lens corner (1/2, sqrt(3)/2):
+    # the corner is closest, its centre gap is irrational and about 2**-79,
+    # so the root's lower bound is 0 at work 61 and 122 and on_t doubles twice
+    r, y = Fraction(1, 2**81), Fraction(isqrt(3 * 4**100), 2**101) + Fraction(1, 2**79)
+    res = closest_pair(Disk(Fraction(1, 2), y, r), intersect_region([disk(0, 0, 1), disk(1, 0, 1)]))
+    assert isinstance(res.feature, Corner)
+    assert res.on_t_exact is None and not res.center_gap_sq.is_rational
+    steps = res._gap_enclosures(53)
+    roots = [(work, r_lo) for work, _, (r_lo, _) in (next(steps) for _ in range(3))]
+    assert [work for work, _ in roots] == [61, 122, 244]
+    assert [r_lo == 0 for _, r_lo in roots] == [True, True, False]
+    width = Fraction(1, 2**53)
+    (xlo, xhi), (ylo, yhi) = res.on_t(53)
+    assert xlo <= Fraction(1, 2) <= xhi and ylo <= y - r <= yhi
+    assert xhi - xlo <= width and yhi - ylo <= width
+    # (y - sqrt(3)/2 - r)^2 from sqrt(3) in [s, s + 1]/2**200, independently
+    s = isqrt(3 * 4**200)
+    gap_lo, gap_hi = y - Fraction(s + 1, 2**201) - r, y - Fraction(s, 2**201) - r
+    lo, hi = res.squared_distance(53)
+    assert 0 < gap_lo and lo <= gap_hi * gap_hi and gap_lo * gap_lo <= hi
+    assert hi - lo <= width
 
 
 def _differential_regions():

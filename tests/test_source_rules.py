@@ -1,7 +1,9 @@
 """Rules every module under ``src/helly`` keeps."""
 
 import ast
+import inspect
 import pathlib
+import textwrap
 
 import helly
 
@@ -85,4 +87,31 @@ def test_no_fraction_in_the_decision_paths():
                     if used in {"Fraction", "Rat"}:
                         found.append(f"{module} {fn.name} line {node.lineno}: uses {used}")
     assert seen == {(module, name) for module, names in decisions.items() for name in names}
+    assert found == []
+
+
+def test_no_exported_function_only_passes_through():
+    # an exported function whose body, after its docstring, only returns
+    # another exported name called with its own parameters unchanged is a
+    # second name for that one
+    found = []
+    for name in helly.__all__:
+        obj = getattr(helly, name)
+        if not inspect.isfunction(obj):
+            continue
+        fn = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+            continue
+        call = body[0].value
+        params = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)]
+        # (value, keyword) per argument; a keyword one passes through as x=x
+        args = [(a, None) for a in call.args] + [(kw.value, kw.arg) for kw in call.keywords]
+        if (
+            isinstance(call.func, ast.Name)
+            and call.func.id in helly.__all__
+            and all(isinstance(v, ast.Name) and kw in (None, v.id) for v, kw in args)
+            and sorted(v.id for v, _ in args) == sorted(params)
+        ):
+            found.append(f"{name} passes through to {call.func.id}")
     assert found == []
