@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import instances
@@ -154,7 +153,7 @@ def _cmd_linear_sample(args) -> int:
     _check_at_most("--trials times --size times 'unknowns' squared", work, MAX_SAMPLE_WORK)
     report = sample_consistency(system, args.size, args.trials, args.seed)
     if args.format == "json":
-        print(json.dumps(asdict(report)))
+        print(json.dumps({name: getattr(report, name) for name in report._fields}))
     else:
         print(
             f"drew {report.samples_drawn} subsystems of size {report.subsystem_size}: "

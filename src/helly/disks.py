@@ -57,19 +57,18 @@ F'. A pair F is completed by the smallest index outside it, and one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import Rat, cached_view
+from .exactq import Rat
 from .radicals import QuadPoint, ccw_in_span, point_cmp, same_point, sign_one
+from .records import Record, cached_view
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Disk:
+class Disk(Record):
     """Closed disk with exact rational center and positive radius.
 
     It keeps itself over its own denominator, M = lcm of the three
@@ -130,11 +129,15 @@ class PairKind(Enum):
     EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(Record):
     kind: PairKind
-    corners: tuple[QuadPoint, QuadPoint] | None = None  # (low, high), when the circles meet
-    inner: int | None = None  # 0/1: which argument is the enclosed disk
+    corners: tuple[QuadPoint, QuadPoint] | None  # (low, high), when the circles meet
+    inner: int | None  # 0/1: which argument is the enclosed disk
+
+    def __init__(
+        self, kind: PairKind, corners: tuple[QuadPoint, QuadPoint] | None = None, inner: int | None = None
+    ) -> None:
+        vars(self).update(kind=kind, corners=corners, inner=inner)
 
 
 def _scaled(a: Disk, b: Disk) -> tuple[int, int, int, int, int, int, int]:
@@ -209,25 +212,36 @@ class RegionKind(Enum):
     REGION = "region"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """CCW arc of the boundary circle of ``family[disk]`` from start to end."""
 
     disk: int
     start: QuadPoint
     end: QuadPoint
 
+    def __init__(self, disk: int, start: QuadPoint, end: QuadPoint) -> None:
+        vars(self).update(disk=disk, start=start, end=end)
 
-@dataclass(frozen=True)
-class ArcRegion:
+
+class ArcRegion(Record):
     """Intersection of a disk family: empty, one point, a full disk, or a
     convex region bounded by cyclically contiguous CCW arcs."""
 
     family: tuple[Disk, ...]
     kind: RegionKind
-    point: QuadPoint | None = None
-    full_index: int | None = None
-    arcs: tuple[Arc, ...] = ()
+    point: QuadPoint | None
+    full_index: int | None
+    arcs: tuple[Arc, ...]
+
+    def __init__(
+        self,
+        family: tuple[Disk, ...],
+        kind: RegionKind,
+        point: QuadPoint | None = None,
+        full_index: int | None = None,
+        arcs: tuple[Arc, ...] = (),
+    ) -> None:
+        vars(self).update(family=family, kind=kind, point=point, full_index=full_index, arcs=arcs)
 
     @property
     def is_empty(self) -> bool:
@@ -402,13 +416,11 @@ def triple_meet(a: Disk, b: Disk, c: Disk) -> bool:
     return any(in_disk(corner, trio[k]) for _, _, k, rel in rels for corner in rel.corners)
 
 
-@dataclass(frozen=True)
-class CommonPoint:
+class CommonPoint(Record):
     point: QuadPoint
 
 
-@dataclass(frozen=True)
-class ViolatingTriple:
+class ViolatingTriple(Record):
     indices: tuple[int, int, int]
 
 

@@ -34,34 +34,14 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
+from .records import Record
 
 Rat = Fraction
-
-
-class cached_view:
-    """An attribute computed by ``fn`` on first read and kept in the
-    instance's dict, where later reads find it first: the ``Fraction``
-    views of ``Equation``, ``Disk`` and ``QuadVal``, which keep integers,
-    and the ``QuadVal`` coordinates of a ``QuadPoint``. It is
-    ``functools.cached_property`` without the lock that CPython 3.11
-    takes on every first read: 1.5 against 1.1 microseconds for a first
-    read that builds one ``Fraction`` (2-core x86). Threads that race on
-    a first read build equal values."""
-
-    def __init__(self, fn: Callable[[object], object]) -> None:
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj: object, cls: type | None = None) -> object:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 def integer_row(row: Sequence[Rat | int]) -> list[int]:
@@ -174,8 +154,7 @@ def rank(rows: Sequence[Sequence[Rat | int]]) -> int:
     return len(echelon(map(integer_row, rows), ncols)[0])
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
+class AffineSolutionSet(Record):
     """A nonempty affine subspace: witness point plus nullspace basis.
 
     ``basis`` spans the directions in which the solution set is free, so

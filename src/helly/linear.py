@@ -102,7 +102,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -116,10 +115,10 @@ from .exactq import (
     Rat,
     _witness,
     bareiss_update,
-    cached_view,
     echelon,
     solve_affine,
 )
+from .records import Record, cached_view
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
 # Most walk nodes an inconsistent system may need: sum over s <= k + 1 of
@@ -139,8 +138,7 @@ class EquationClass(Enum):
     DEGENERATE_INCONSISTENT = "degenerate-inconsistent"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Equation:
+class Equation(Record):
     """One linear equation ``coeffs . x = rhs``.
 
     It keeps itself as its augmented row in integers: ``row`` is
@@ -191,19 +189,19 @@ def classify(eq: Equation) -> EquationClass:
     return EquationClass.DEGENERATE_INCONSISTENT
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """An ordered list of equations over a fixed set of unknowns."""
 
     unknowns: int
     equations: tuple[Equation, ...]
 
-    def __post_init__(self) -> None:
-        if self.unknowns < 0:
+    def __init__(self, unknowns: int, equations: tuple[Equation, ...]) -> None:
+        if unknowns < 0:
             raise ValueError("unknown count must be nonnegative")
-        for eq in self.equations:
-            if len(eq.row) != self.unknowns + 1:
+        for eq in equations:
+            if len(eq.row) != unknowns + 1:
                 raise ValueError("all equations must have exactly one coefficient per unknown")
+        vars(self).update(unknowns=unknowns, equations=equations)
 
     @property
     def n(self) -> int:
@@ -413,13 +411,11 @@ def all_subsystems_consistent(system: LinearSystem, size: int) -> tuple[int, ...
     return None
 
 
-@dataclass(frozen=True)
-class Consistent:
+class Consistent(Record):
     witness: AffineSolutionSet
 
 
-@dataclass(frozen=True)
-class Inconsistent:
+class Inconsistent(Record):
     subsystem: tuple[int, ...]
 
 
@@ -511,8 +507,7 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     return Inconsistent(idx)
 
 
-@dataclass(frozen=True)
-class SamplingReport:
+class SamplingReport(Record):
     """Outcome of randomized subsystem sampling.
 
     Draw ``i`` is the ``i``-th ``tuple(sorted(rng.sample(range(n),

@@ -25,7 +25,6 @@ with ``lowest_common_point``, before it prints either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -34,6 +33,7 @@ from typing import Sequence
 from .disks import Disk, PairKind, pair_relation
 from .linear import LinearSystem
 from .radicals import QuadPoint, qcmp, sign_one
+from .records import Record
 
 
 def _integers(row: Sequence[Fraction | int]) -> list[int]:
@@ -119,8 +119,7 @@ def exhaustive_min_inconsistent(system: LinearSystem) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Rational sampling grid over a box: resolution subdivisions per axis."""
 
     x0: Fraction
@@ -129,11 +128,12 @@ class GridSpec:
     y1: Fraction
     resolution: int
 
-    def __post_init__(self) -> None:
-        if self.resolution < 1:
+    def __init__(self, x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction, resolution: int) -> None:
+        if resolution < 1:
             raise ValueError("resolution must be at least 1")
-        if self.x1 < self.x0 or self.y1 < self.y0:
+        if x1 < x0 or y1 < y0:
             raise ValueError("box must be nonempty")
+        vars(self).update(x0=x0, y0=y0, x1=x1, y1=y1, resolution=resolution)
 
     def points(self):
         dx = (self.x1 - self.x0) / self.resolution

@@ -27,11 +27,10 @@ float. The helpers at the bottom are for display only: certified dyadic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .exactq import cached_view
+from .records import Record, cached_view
 
 _SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -66,8 +65,7 @@ def _normalize(p: int, q: int, d: int, w: int) -> QuadVal:
     return QuadVal(p // g, q // g, d, w // g)
 
 
-@dataclass(frozen=True)
-class QuadVal:
+class QuadVal(Record):
     """The exact value (p + q*sqrt(d))/w = a + b*sqrt(d), built by
     ``_normalize``: w > 0, d >= 0, q = 0 when d = 0 and gcd(p, q, w) = 1,
     so the value and d fix p, q and w. ``a`` and ``b`` are views, built when read."""
@@ -76,6 +74,9 @@ class QuadVal:
     q: int
     d: int
     w: int
+
+    def __init__(self, p: int, q: int, d: int, w: int) -> None:
+        vars(self).update(p=p, q=q, d=d, w=w)
 
     @cached_view
     def a(self) -> Fraction:
@@ -184,8 +185,7 @@ def qcmp(x: QuadVal, y: QuadVal) -> int:
 # Points with coordinates in one quadratic extension
 
 
-@dataclass(frozen=True)
-class QuadPoint:
+class QuadPoint(Record):
     """The plane point ((xa + xb*sqrt(d))/w, (ya + yb*sqrt(d))/w): integer
     numerators over one positive denominator w, with one radicand d >= 0.
 
@@ -202,9 +202,10 @@ class QuadPoint:
     d: int
     w: int
 
-    def __post_init__(self) -> None:
-        if self.w <= 0 or self.d < 0:
+    def __init__(self, xa: int, xb: int, ya: int, yb: int, d: int, w: int) -> None:
+        if w <= 0 or d < 0:
             raise ValueError("a point needs a positive denominator and a nonnegative radicand")
+        vars(self).update(xa=xa, xb=xb, ya=ya, yb=yb, d=d, w=w)
 
     @cached_view
     def x(self) -> QuadVal:

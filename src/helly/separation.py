@@ -34,7 +34,6 @@ separates from T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -51,25 +50,23 @@ from .radicals import (
     quad_bounds,
     sqrt_bounds,
 )
+from .records import Record
 
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class ArcInterior:
+class ArcInterior(Record):
     arc: int
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(Record):
     corner: int
 
 
 GFeature = Union[ArcInterior, Corner]
 
 
-@dataclass(frozen=True)
-class ClosestPairResult:
+class ClosestPairResult(Record):
     """Closest pair between a query disk and a disjoint region.
 
     ``on_g`` and ``center_gap_sq`` (the squared distance from the region
@@ -190,8 +187,7 @@ def closest_pair(t: Disk, g: ArcRegion) -> ClosestPairResult:
     return best
 
 
-@dataclass(frozen=True)
-class SeparatingLine:
+class SeparatingLine(Record):
     """Line through the region-side closest point, normal to the segment.
 
     ``normal`` points from the region toward the query disk; the region is

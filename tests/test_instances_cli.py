@@ -339,6 +339,33 @@ def test_cli_sample_deterministic_and_golden(tmp_path, capsys):
     assert payload["first_hit"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "system, argv, out",
+    [
+        (
+            tetrahedral_system,
+            ["--size", "3", "--trials", "500", "--seed", "2"],
+            '{"samples_drawn": 500, "subsystem_size": 3, "inconsistent_samples": 0, "first_hit": null, '
+            '"seed": 2, "generator": "python-mersenne-twister"}\n',
+        ),
+        (
+            lambda: gen_random_linear(12, 2, 7),
+            ["--size", "3", "--trials", "40", "--seed", "-3"],
+            '{"samples_drawn": 40, "subsystem_size": 3, "inconsistent_samples": 40, "first_hit": [3, 8, 9], '
+            '"seed": -3, "generator": "python-mersenne-twister"}\n',
+        ),
+    ],
+    ids=["no-hit", "hit"],
+)
+def test_cli_sample_json_golden(tmp_path, capsys, system, argv, out):
+    # byte for byte, key order included, as recorded before the report
+    # stopped being a dataclass
+    path = tmp_path / "s.json"
+    path.write_text(dumps_linear(system()))
+    assert main(["linear", "sample", str(path), *argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def _text_braces(text: str) -> str:
     return text[text.index("{") : text.index("}") + 1]
 

@@ -3,6 +3,8 @@
 import ast
 import inspect
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 import helly
@@ -115,3 +117,34 @@ def test_no_exported_function_only_passes_through():
         ):
             found.append(f"{name} passes through to {call.func.id}")
     assert found == []
+
+
+def test_no_generated_code():
+    # records are built by helly.records without generated source: no
+    # module imports dataclasses or runs text as code
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {(node.module or "").split(".")[0]}
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                modules = {node.func.id} & {"exec", "eval"}
+            else:
+                continue
+            if modules & {"dataclasses", "exec", "eval"}:
+                found.add(path.name)
+    assert sorted(found) == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh process without site packages, so only helly's own imports count
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import helly.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
