@@ -96,6 +96,17 @@ reached). A clean path backtracked from has no uncovered row at or after
 its next row, so every set below it from there on, and every set that
 extends one of them, is covered: neither ``S`` nor a prefix of ``S`` is
 among them.
+
+*Root lemma.* When ``echelon`` lists one row ``r``, every other row is
+covered, so every inconsistent set holds ``r`` (cover lemma). The walk
+then pushes ``r`` first, as the root of its path, and walks the other
+rows below it in the same pre-order, never trying ``r`` again; a root
+that reads ``0 = c`` alone is the certificate. Sets of one size that both
+hold ``r`` compare, as sorted tuples, by the least row that one holds and
+the other does not, never ``r``, so in the order of their other rows: the
+argument above holds with ``r`` ahead of every prefix (the circuit prune
+holds in any row order), and the last hit, sorted, is the first minimum.
+The walk visits at most ``1 + sum over s <= k of C(n - 1, s)`` nodes.
 """
 
 from __future__ import annotations
@@ -121,10 +132,10 @@ from .exactq import (
 from .records import Record, cached_view
 
 SAMPLING_GENERATOR = "python-mersenne-twister"
-# Most walk nodes an inconsistent system may need: sum over s <= k + 1 of
-# C(n, s). A node costs one ``bareiss_update``, 3.9 to 4.2 microseconds
-# for k = 5 (31 rows, 206,393 nodes) on a 2-core Xeon under
-# CPython 3.11, so the cap is under a minute of search.
+# Most walk nodes an inconsistent system may need (``_check_search_size``).
+# A node costs one ``bareiss_update``, 3.9 to 4.2 microseconds for k = 5
+# (31 rows, 206,393 nodes) on a 2-core Xeon under CPython 3.11, so the
+# cap is under a minute of search.
 MAX_CERTIFY_NODES = 10**7
 # Indices that ``sample_consistency`` holds, sorts and scans at once:
 # 4,096 draws of up to 8 indices, fewer of larger draws. A larger batch
@@ -422,11 +433,13 @@ class Inconsistent(Record):
 HellyCertificate = Union[Consistent, Inconsistent]
 
 
-def _check_search_size(n: int, k: int) -> None:
-    """Refuse a walk whose worst case passes ``MAX_CERTIFY_NODES`` nodes."""
-    nodes = 0
-    for size in range(1, min(k + 1, n) + 1):
-        nodes += comb(n, size)
+def _check_search_size(n: int, k: int, rooted: bool) -> None:
+    """Refuse a walk whose worst case passes ``MAX_CERTIFY_NODES`` nodes:
+    the sets of 1 to ``k + 1`` of the ``n`` rows or, below a root, the
+    root and the sets of 1 to ``k`` of the other ``n - 1`` rows."""
+    nodes = int(rooted)
+    for size in range(1, min(k + 1 - rooted, n - rooted) + 1):
+        nodes += comb(n - rooted, size)
         if nodes > MAX_CERTIFY_NODES:
             raise ValueError(
                 f"certifying {n} equations in {k} unknowns may test more than "
@@ -441,9 +454,11 @@ def _first_minimum_inconsistent(
     leaves out the increasing row indices ``bad``.
 
     ``path`` runs from the root and ``j`` is the next row to try below
-    it; ``dirt`` counts the uncovered rows of the path. Returns the last
-    hit, which is the size-then-lex first minimum, or ``None`` when no
-    subset of at most ``k + 1`` rows is inconsistent.
+    it; ``dirt`` counts the uncovered rows of the path. The root is empty,
+    or the one row of ``bad`` (the root lemma), which is pushed first and
+    never tried again. Returns the last hit sorted, which is the
+    size-then-lex first minimum, or ``None`` when no subset of at most
+    ``k + 1`` rows is inconsistent.
     """
     n = len(rows)
     cap = min(k + 1, n)
@@ -454,12 +469,21 @@ def _first_minimum_inconsistent(
     prefix = path.indices
     best: tuple[int, ...] | None = None
     j = dirt = 0
+    root = bad[0] if len(bad) == 1 else -1
+    if root >= 0:
+        piv, row = path.reduced(root)
+        if piv is None:  # the root reads 0 = c on its own
+            return (root,)
+        path.push(root, piv, row)
+        dirt = 1
+    base = len(prefix)
     while True:
         d = len(prefix)
         if not dirt and (d == cap - 1 or nxt[j] == n):
             # a clean prefix: a hit below it needs an uncovered row, and
             # at leaf depth the node itself must be the hit
             j = nxt[j]
+        j += j == root
         if j < n and d < cap:
             piv, row = path.reduced(j)
             if piv is None:
@@ -470,13 +494,13 @@ def _first_minimum_inconsistent(
                 path.push(j, piv, row)
                 dirt += nxt[j] == j
             j += 1
-        elif prefix:
+        elif d > base:
             i = prefix[-1]
             dirt -= nxt[i] == i
             path.truncate(d - 1)
             j = i + 1
         else:
-            return best
+            return None if best is None else tuple(sorted(best))
 
 
 def helly_certify(system: LinearSystem) -> HellyCertificate:
@@ -497,7 +521,7 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
         if not witness_satisfies(system, witness):
             raise InvariantViolation("computed witness fails to satisfy the system")
         return Consistent(witness)
-    _check_search_size(system.n, system.unknowns)
+    _check_search_size(system.n, system.unknowns, len(bad) == 1)
     idx = _first_minimum_inconsistent(rows, system.unknowns, bad)
     if idx is None:
         raise InvariantViolation(

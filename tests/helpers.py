@@ -9,6 +9,7 @@ from math import isqrt
 
 from helly import Disk, Equation, LinearSystem, disk, linear_system, triple_meet
 from helly.instances import FORMAT_VERSION, _rat_pair
+from helly.linear import _Path
 from helly.radicals import QuadPoint, QuadVal, Vec, sign_of, sign_quartic
 
 
@@ -68,6 +69,44 @@ def random_structured_system(rng) -> LinearSystem:
         rows.append(row)
         rhs.append(b)
     return linear_system(rows, rhs)
+
+
+def reference_first_minimum_inconsistent(rows, k, bad):
+    """The certify walk as it was before it took a root: every set of 1 to
+    ``k + 1`` rows in lexicographic pre-order, on ``helly.linear._Path``
+    and the fold's cover. The reference that
+    ``helly.linear._first_minimum_inconsistent`` matches hit for hit, and
+    never exceeds in nodes."""
+    n = len(rows)
+    cap = min(k + 1, n)
+    nxt = []  # nxt[j]: the first uncovered row at or after j
+    for b in (*bad, n):
+        nxt += [b] * (b + 1 - len(nxt))
+    path = _Path(rows, k)
+    prefix = path.indices
+    best = None
+    j = dirt = 0
+    while True:
+        d = len(prefix)
+        if not dirt and (d == cap - 1 or nxt[j] == n):
+            j = nxt[j]
+        if j < n and d < cap:
+            piv, row = path.reduced(j)
+            if piv is None:
+                if row[k]:
+                    best = (*prefix, j)
+                    cap = d
+            elif d < cap - 1:
+                path.push(j, piv, row)
+                dirt += nxt[j] == j
+            j += 1
+        elif prefix:
+            i = prefix[-1]
+            dirt -= nxt[i] == i
+            path.truncate(d - 1)
+            j = i + 1
+        else:
+            return best
 
 
 def reference_dumps_linear(system: LinearSystem) -> str:

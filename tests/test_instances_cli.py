@@ -879,8 +879,9 @@ def test_cli_rechecks_a_near_miss_disk_verdict(tmp_path, capsys, monkeypatch, na
 
 
 def test_cli_refuses_an_oversized_certify_at_once(tmp_path, capsys):
-    # 59 planted rows and one generic row in 6 unknowns: the walk could
-    # test sum C(60, s) for s <= 7, about 4.4e8 subsets
+    # 59 planted rows and one generic row in 6 unknowns: the walk rooted
+    # at that row could test 1 + sum C(59, s) for s <= 6, about 5.1e7
+    # subsets
     planted = gen_consistent_linear(59, 6, seed=1)
     system = linear_system(
         [list(eq.coeffs) for eq in planted.equations] + [[1, 10, 100, 1000, 10000, 100000]],
@@ -894,6 +895,27 @@ def test_cli_refuses_an_oversized_certify_at_once(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "subsets; refused" in captured.err
+
+
+def test_cli_certifies_one_bad_row_past_the_unrooted_size(tmp_path, capsys):
+    # 124 planted rows and one generic row in 3 unknowns. A walk of every
+    # set of 1 to 4 rows could visit sum C(125, s) for s <= 4 = 10,017,000
+    # nodes, past the cap; the fold lists only row 124, and the walk rooted
+    # at it visits at most 1 + C(124, 1) + C(124, 2) + C(124, 3) = 317,875
+    planted = gen_consistent_linear(124, 3, seed=1)
+    system = linear_system(
+        [list(eq.coeffs) for eq in planted.equations] + [[1, 10, 100]],
+        [eq.rhs for eq in planted.equations] + [1234],
+    )
+    path = tmp_path / "late.json"
+    path.write_text(dumps_linear(system))
+    start = time.perf_counter()
+    # exit 1 only once is_minimal_inconsistent accepts the subsystem
+    assert main(["linear", "certify", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "inconsistent; smallest inconsistent subsystem: equations {0, 1, 2, 124}\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
+from operator import mul
 
 import pytest
 
@@ -19,7 +21,7 @@ from helly import (
 )
 import helly.exactq
 import helly.linear
-from helly.exactq import AffineSolutionSet, integer_row, solve_affine
+from helly.exactq import AffineSolutionSet, echelon, integer_row, solve_affine
 from helly.instances import (
     dumps_linear,
     gen_consistent_linear,
@@ -28,7 +30,11 @@ from helly.instances import (
     tetrahedral_system,
 )
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
-from helpers import random_nondegenerate_system, random_structured_system
+from helpers import (
+    random_nondegenerate_system,
+    random_structured_system,
+    reference_first_minimum_inconsistent,
+)
 
 
 def test_classify_degenerate_inconsistent():
@@ -346,34 +352,50 @@ def _count_work(monkeypatch) -> dict[str, int]:
 def test_certify_walk_work_golden(monkeypatch):
     # The whole-system fold reduces rows 1 to 4 by the 1, 2, 3 and 4 pivot
     # rows before them, and rows 5 to 15 by all five, 1 + 2 + 3 + 4 +
-    # 5 * 11 = 65 updates; only row 15 ends in 0 = c, so rows 0 to 14 are
-    # the cover. The walk descends to (0, 1, 2, 3, 4), a clean prefix at
-    # leaf depth, and tries only row 15: the hit (0, 1, 2, 3, 4, 15), and
-    # the cap drops to 5. It then visits every subset of at most 4 rows,
-    # sum C(16, d) for d = 1..4 = 2,516, and below each clean prefix of
-    # 4 rows, now at leaf depth, only row 15: C(15, 4) = 1,365 nodes.
-    # 2,516 + 1,365 + 2 = 3,883 nodes. Each node below the root costs one
-    # update, its row reduced once by its parent's pivot row:
-    # 3,883 - 16 = 3,867.
+    # 5 * 11 = 65 updates; only row 15 ends in 0 = c, so it is the walk's
+    # root: one node, with no update on the empty path. Below it the walk
+    # descends to (15, 0, 1, 2, 3), at leaf depth, and tries row 4: the
+    # hit (0, 1, 2, 3, 4, 15), and the cap drops to 5. It then visits
+    # every set of 1 to 4 of the other 15 rows below the root,
+    # C(15, 1) + C(15, 2) + C(15, 3) + C(15, 4) = 15 + 105 + 455 + 1,365
+    # = 1,940 nodes, its first descent among them. 1 + 1,940 + 1 = 1,942
+    # nodes. Each node below the root costs one update, its row reduced
+    # once by its parent's pivot row: 1,942 - 1 = 1,941.
     work = _count_work(monkeypatch)
     assert helly_certify(_late_system(1)) == Inconsistent((0, 1, 2, 3, 4, 15))
-    assert work == {"nodes": 3883, "updates": 3867 + 65}
+    assert work == {"nodes": 1942, "updates": 1941 + 65}
 
 
 def test_certify_walk_never_extends_a_dependent_prefix(monkeypatch):
-    # (0, 1) repeats x = 0, so it is not pushed and its children (0, 1, 2)
-    # and (0, 1, 3) are never visited: 11 nodes instead of 13. The
-    # whole-system check reduces rows 1 and 2 by pivot 0, and row 3 by
-    # pivots 0 and 1 (row 1 is zero and adds no pivot): 1 + 1 + 2 = 4
-    # updates. Row 3 alone ends in 0 = 1, so rows 0 to 2 are the cover.
-    # The hit (0, 2, 3) drops the cap to 2, so the clean prefix (1) is at
-    # leaf depth and tries only row 3: (1, 2) is skipped, 10 nodes. Rows
-    # 1, 2 and 3 are reduced once below (0), and row 3 once below (0, 2),
-    # (1) and (2): 6 updates.
+    # Rows x = 0, x = 0, y = 0, x + y = 1 and x - y = 1. The fold reduces
+    # rows 1 and 2 by pivot 0, and rows 3 and 4 by pivots 0 and 2 (row 1
+    # is zero and adds no pivot): 1 + 1 + 2 + 2 = 6 updates. Rows 3 and
+    # 4 end in 0 = c, so the root is empty and rows 0 to 2 are the cover.
+    # (0, 1) repeats x = 0, so it is not pushed and its children (0, 1, 3)
+    # and (0, 1, 4), which the clean prefix (0, 1) would try at leaf
+    # depth, are never visited: 15 nodes instead of 17. The clean prefix
+    # (0, 2) at leaf depth tries row 3 first: the hit (0, 2, 3), and the
+    # cap drops to 2. At that depth the clean prefixes (0), (1) and (2)
+    # try only rows 3 and 4, and (3) tries row 4, with (4) last:
+    # (0), (0, 1), (0, 2), (0, 2, 3), (0, 3), (0, 4), (1), (1, 3),
+    # (1, 4), (2), (2, 3), (2, 4), (3), (3, 4), (4). The nodes of one
+    # row cost no update, (0, 2, 3) costs two (row 3 below (0) and then
+    # (0, 2)) and (0, 3) reuses the first; the other eight cost one: 10.
+    s = linear_system([[1, 0], [1, 0], [0, 1], [1, 1], [1, -1]], [0, 0, 0, 1, 1])
+    work = _count_work(monkeypatch)
+    assert helly_certify(s) == Inconsistent((0, 2, 3))
+    assert work == {"nodes": 15, "updates": 10 + 6}
+    # Without row 4 the fold makes 4 updates and lists only row 3, the
+    # root: one node, no update. Below it (3, 0) is pushed, (3, 0, 1)
+    # reduces to 0 = 0 at leaf depth, and (3, 0, 2) is the hit, which
+    # drops the cap to 2; (3, 1) and (3, 2) are then leaves and row 3 is
+    # never tried again: 6 nodes. (3, 0) costs one update, (3, 0, 1) and
+    # (3, 0, 2) two each, and (3, 1) and (3, 2) reuse the first of those:
+    # 5 updates.
     s = linear_system([[1, 0], [1, 0], [0, 1], [1, 1]], [0, 0, 0, 1])
     work = _count_work(monkeypatch)
     assert helly_certify(s) == Inconsistent((0, 2, 3))
-    assert work == {"nodes": 10, "updates": 6 + 4}
+    assert work == {"nodes": 6, "updates": 5 + 4}
 
 
 def _det(a) -> int:
@@ -593,6 +615,64 @@ def test_cover_keeps_certify_and_sampling_on_contaminated_systems():
         size = rng.randint(1, min(k + 1, n))
         report = sample_consistency(s, size, 60, trial)
         assert (report.inconsistent_samples, report.first_hit) == _replayed_sample(s, size, 60, trial)
+
+
+def _one_bad_row_system(rng, where):
+    """Planted rows in 1 to 4 unknowns, drawn as multiples of a few rows so
+    that covered rows repeat, some of them ``0 = 0``, plus one row off the
+    planted point put ``first``, in the ``middle`` or ``last``; for
+    ``degenerate`` that row is ``0 = c`` at any place, and ``k0`` is rows
+    in no unknowns, all ``0 = 0`` but one."""
+    if where == "k0":
+        n = rng.randint(1, 9)
+        rhs = [0] * n
+        rhs[rng.randrange(n)] = rng.choice([1, -2])
+        return linear_system([[]] * n, rhs)
+    k = rng.randint(1, 4)
+    point = [rng.randint(-3, 3) for _ in range(k)]
+    pool = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rng.randint(k, k + 3))]
+    rows = []
+    for _ in range(rng.randint(k, 9)):
+        base = rng.choice(pool) if rng.random() > 0.1 else [0] * k
+        rows.append([rng.choice([-2, -1, 1, 3]) * c for c in base])
+    rhs = [sum(map(mul, row, point)) for row in rows]
+    if where == "degenerate":
+        bad, b = [0] * k, rng.choice([-1, 2])
+    else:
+        bad = [rng.randint(-4, 4) for _ in range(k)]
+        bad[0] += not any(bad)
+        b = sum(map(mul, bad, point)) + rng.choice([-2, -1, 1, 2])
+    at = {"first": 0, "last": len(rows)}.get(where, rng.randint(0, len(rows)))
+    rows.insert(at, bad)
+    rhs.insert(at, b)
+    return linear_system(rows, rhs)
+
+
+def test_rooted_walk_matches_the_oracle_and_never_outwalks_the_unrooted_one(monkeypatch):
+    # systems whose fold lists one row: that row is the walk's root, and
+    # the walk visits at most 1 + sum over s <= k of C(n - 1, s) nodes and
+    # never more than the walk that tries the row last
+    rng = random.Random(3030)
+    work = _count_work(monkeypatch)
+    kept = dict.fromkeys(["first", "middle", "last", "degenerate", "k0"], 0)
+    for trial in range(1500):
+        where = list(kept)[trial % 5]
+        s = _one_bad_row_system(rng, where)
+        rows, k = [eq.row for eq in s.equations], s.unknowns
+        bad = echelon(rows, k)[1]
+        if len(bad) != 1:
+            continue
+        kept[where] += 1
+        expected = exhaustive_min_inconsistent(s)
+        work["nodes"] = 0
+        assert helly.linear._first_minimum_inconsistent(rows, k, bad) == expected
+        nodes, work["nodes"] = work["nodes"], 0
+        assert reference_first_minimum_inconsistent(rows, k, bad) == expected
+        assert nodes <= min(work["nodes"], 1 + sum(comb(s.n - 1, size) for size in range(1, k + 1)))
+        if where in ("degenerate", "k0"):
+            assert (nodes, expected) == (1, tuple(bad))
+        assert helly_certify(s) == Inconsistent(expected)
+    assert min(kept.values()) >= 40, kept
 
 
 def _full_rank_rule_system(rng, shape):
