@@ -2,8 +2,9 @@
 
 Grammar: ``helly <linear|disks|gen> <subcommand> [flags]``. Exit codes
 form the complete contract: 0 success/consistent, 1 inconsistent or
-violating family, 2 input error, 3 internal error (a library invariant
-failed; never a verdict). Reports mirror the library types
+violating family, 2 input or output error (a refused input, or standard
+output that cannot be written), 3 internal error (a library invariant
+failed, or any other fault; never a verdict). Reports mirror the library types
 one-to-one so downstream tooling can parse certificates. ``--precision``
 belongs to ``disks check`` alone, the one output that prints certified
 enclosures; ``disks svg`` leaves every drawn coordinate to ``helly.svg``.
@@ -56,12 +57,40 @@ MAX_SAMPLE_INDICES = 10**7
 # 560 MiB); more rows than unknowns, or more draws of fewer rows, took
 # less for the same product.
 MAX_SAMPLE_WORK = 2 * 10**7
+# Most elimination linear certify may do, the equation count times the
+# square of 'unknowns': its fold reduces each row by up to k pivot rows of
+# k + 1 integers. At the cap, 250 x 200, 1,000 x 100, 10,000 x 31 and
+# 100,000 x 10 (equations x unknowns), random and planted, took 1.9 to
+# 3.5 s in process (2-core x86, CPython 3.11); 400 x 400 took 49 s.
+MAX_CERTIFY_WORK = 10**7
 MAX_SVG_N = 640  # largest family disks svg draws: clipping is quadratic, 6.1 to 6.5 s (wall) on a ring
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _say(text: str, end: str = "\n") -> None:
+    """``print(text, end=end)`` to standard output, flushed, so that a
+    failed write is an input or output error here rather than a fault at
+    exit. After a failure, standard output is pointed at the null device,
+    as the Python documentation's note on SIGPIPE does, so that the flush
+    at shutdown has nothing to fail on."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.write(end)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # not a file, so nothing is flushed to it at exit
+        else:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise ValueError(f"cannot write standard output: {exc.strerror or exc}")
 
 
 def _read_threads_cap() -> int | None:
@@ -124,13 +153,15 @@ def _witness_doc(witness) -> dict:
 
 def _cmd_linear_certify(args) -> int:
     system = _load(args.path, "linear")
+    work = system.n * system.unknowns**2
+    _check_at_most("the equation count times 'unknowns' squared", work, MAX_CERTIFY_WORK)
     cert = helly_certify(system)
     if isinstance(cert, Consistent):
         if args.format == "json":
-            print(json.dumps({"verdict": "consistent", "witness": _witness_doc(cert.witness)}))
+            _say(json.dumps({"verdict": "consistent", "witness": _witness_doc(cert.witness)}))
         else:
             pt = ", ".join(str(x) for x in cert.witness.point)
-            print(f"consistent; witness point ({pt}), solution set dimension {cert.witness.dim}")
+            _say(f"consistent; witness point ({pt}), solution set dimension {cert.witness.dim}")
         return 0
     # imported here, so that commands which print no subsystem do not load
     # the oracle module at start-up
@@ -139,9 +170,9 @@ def _cmd_linear_certify(args) -> int:
     if not is_minimal_inconsistent(system, cert.subsystem):
         raise InvariantViolation(f"subsystem {list(cert.subsystem)} failed the independent re-check")
     if args.format == "json":
-        print(json.dumps({"verdict": "inconsistent", "subsystem": list(cert.subsystem)}))
+        _say(json.dumps({"verdict": "inconsistent", "subsystem": list(cert.subsystem)}))
     else:
-        print(f"inconsistent; smallest inconsistent subsystem: equations {_braces(cert.subsystem)}")
+        _say(f"inconsistent; smallest inconsistent subsystem: equations {_braces(cert.subsystem)}")
     return 1
 
 
@@ -153,9 +184,9 @@ def _cmd_linear_sample(args) -> int:
     _check_at_most("--trials times --size times 'unknowns' squared", work, MAX_SAMPLE_WORK)
     report = sample_consistency(system, args.size, args.trials, args.seed)
     if args.format == "json":
-        print(json.dumps({name: getattr(report, name) for name in report._fields}))
+        _say(json.dumps({name: getattr(report, name) for name in report._fields}))
     else:
-        print(
+        _say(
             f"drew {report.samples_drawn} subsystems of size {report.subsystem_size}: "
             f"{report.inconsistent_samples} inconsistent"
             + (f"; first hit {_braces(report.first_hit)}" if report.first_hit else "")
@@ -190,14 +221,11 @@ def _cmd_disks_check(args) -> int:
         if not all(inside(verdict.point, d) for d in family):
             raise InvariantViolation("common point failed the re-check against the family")
         if args.format == "json":
-            print(
-                json.dumps(
-                    {"verdict": "common-point", "point": _enclosure_doc(verdict.point, args.precision)}
-                )
-            )
+            doc = {"verdict": "common-point", "point": _enclosure_doc(verdict.point, args.precision)}
+            _say(json.dumps(doc))
         else:
             fx, fy = (_decimal6((lo + hi) / 2) for lo, hi in point_bounds(verdict.point, 60))
-            print(f"common point exists; certified near ({fx}, {fy})")
+            _say(f"common point exists; certified near ({fx}, {fy})")
         return 0
     i, j, k = verdict.indices
     if not 0 <= i < j < k < len(family) or (
@@ -205,9 +233,9 @@ def _cmd_disks_check(args) -> int:
     ):
         raise InvariantViolation(f"triple {verdict.indices} failed the re-check: its disks meet")
     if args.format == "json":
-        print(json.dumps({"verdict": "violating-triple", "triple": list(verdict.indices)}))
+        _say(json.dumps({"verdict": "violating-triple", "triple": list(verdict.indices)}))
     else:
-        print(f"no common point; disks {_braces(verdict.indices)} already have none")
+        _say(f"no common point; disks {_braces(verdict.indices)} already have none")
     return 1
 
 
@@ -220,7 +248,7 @@ def _cmd_disks_svg(args) -> int:
     except OverflowError:
         raise ValueError(f"{args.path}: coordinates too large to draw")
     _write(args.out, doc)
-    print(f"wrote {args.out}")
+    _say(f"wrote {args.out}")
     return 0
 
 
@@ -264,9 +292,9 @@ def _cmd_gen(args) -> int:
     text = dumps(made)
     if args.out:
         _write(args.out, text)
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        _say(text, end="")
     return 0
 
 
@@ -367,6 +395,9 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -63,7 +63,6 @@ from math import lcm
 from typing import Sequence, Union
 
 from .errors import InvariantViolation
-from .exactq import Rat
 from .radicals import QuadPoint, ccw_in_span, point_cmp, same_point, sign_one
 from .records import Record, cached_view
 
@@ -84,7 +83,7 @@ class Disk(Record):
     R: int
     M: int
 
-    def __init__(self, x: Rat, y: Rat, r: Rat) -> None:
+    def __init__(self, x: Fraction, y: Fraction, r: Fraction) -> None:
         (xn, xd), (yn, yd), (rn, rd) = (v.as_integer_ratio() for v in (x, y, r))
         if rn <= 0:
             raise ValueError("radius must be strictly positive")
@@ -101,15 +100,15 @@ class Disk(Record):
         return d
 
     @cached_view
-    def x(self) -> Rat:
+    def x(self) -> Fraction:
         return Fraction(self.X, self.M)
 
     @cached_view
-    def y(self) -> Rat:
+    def y(self) -> Fraction:
         return Fraction(self.Y, self.M)
 
     @cached_view
-    def r(self) -> Rat:
+    def r(self) -> Fraction:
         return Fraction(self.R, self.M)
 
     def __repr__(self) -> str:

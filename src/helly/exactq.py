@@ -41,10 +41,7 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolation
 from .records import Record
 
-Rat = Fraction
-
-
-def integer_row(row: Sequence[Rat | int]) -> list[int]:
+def integer_row(row: Sequence[Fraction | int]) -> list[int]:
     """``row`` scaled to integers by the lcm of its denominators, which
     changes neither the rank nor the consistency of any set of rows."""
     mul = lcm(*[x.denominator for x in row])
@@ -138,12 +135,12 @@ def reduced_echelon(pivots: Sequence[tuple[Sequence[int], int, int]]) -> tuple[l
     return [e for e, _ in reversed(done)], den
 
 
-def _check_width(rows: Sequence[Sequence[Rat | int]], ncols: int) -> None:
+def _check_width(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> None:
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged rows")
 
 
-def rank(rows: Sequence[Sequence[Rat | int]]) -> int:
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank over the rationals, by fraction-free elimination.
 
     Result is independent of row and column order; the empty matrix has
@@ -162,8 +159,8 @@ class AffineSolutionSet(Record):
     with a zero witness is the whole space.
     """
 
-    point: tuple[Rat, ...]
-    basis: tuple[tuple[Rat, ...], ...]
+    point: tuple[Fraction, ...]
+    basis: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -173,27 +170,9 @@ class AffineSolutionSet(Record):
     def unknowns(self) -> int:
         return len(self.point)
 
-    def element(self, weights: Sequence[Rat | int]) -> tuple[Rat, ...]:
-        """The set element ``point + sum(w_i * basis_i)``."""
-        if len(weights) != len(self.basis):
-            raise ValueError("one weight per basis vector required")
-        out = list(self.point)
-        for w, vec in zip(weights, self.basis):
-            wf = Fraction(w)
-            for j, v in enumerate(vec):
-                out[j] += wf * v
-        return tuple(out)
-
-    def contains(self, point: Sequence[Rat | int]) -> bool:
-        """Exact membership: point - witness must lie in the basis span."""
-        if len(point) != len(self.point):
-            raise ValueError("dimension mismatch")
-        delta = tuple(Fraction(p) - q for p, q in zip(point, self.point))
-        return rank(self.basis) == rank(self.basis + (delta,))
-
 
 def solve_affine(
-    rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int], ncols: int
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int], ncols: int
 ) -> AffineSolutionSet | None:
     """Solve ``rows x = rhs`` in ``ncols`` unknowns exactly; ``None`` when
     there is no solution.
@@ -228,7 +207,7 @@ def _witness(found: Sequence[tuple[Sequence[int], int, int]], ncols: int) -> Aff
     point = [zero] * ncols
     for row, c in zip(red, pivots):
         point[c] = Fraction(row[ncols], den)
-    basis: list[tuple[Rat, ...]] = []
+    basis: list[tuple[Fraction, ...]] = []
     for f in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
         vec[f] = Fraction(1)

@@ -100,12 +100,12 @@ among them.
 *Root lemma.* When ``echelon`` lists one row ``r``, every other row is
 covered, so every inconsistent set holds ``r`` (cover lemma). The walk
 then pushes ``r`` first, as the root of its path, and walks the other
-rows below it in the same pre-order, never trying ``r`` again; a root
-that reads ``0 = c`` alone is the certificate. Sets of one size that both
-hold ``r`` compare, as sorted tuples, by the least row that one holds and
-the other does not, never ``r``, so in the order of their other rows: the
-argument above holds with ``r`` ahead of every prefix (the circuit prune
-holds in any row order), and the last hit, sorted, is the first minimum.
+rows below it in the same pre-order, never trying ``r`` again. Sets of
+one size that both hold ``r`` compare, as sorted tuples, by the least
+row that one holds and the other does not, never ``r``, so in the order
+of their other rows: the argument above holds with ``r`` ahead of every
+prefix (the circuit prune holds in any row order), and the last hit,
+sorted, is the first minimum.
 The walk visits at most ``1 + sum over s <= k of C(n - 1, s)`` nodes.
 """
 
@@ -123,7 +123,6 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 from .errors import InvariantViolation
 from .exactq import (
     AffineSolutionSet,
-    Rat,
     _witness,
     bareiss_update,
     echelon,
@@ -164,7 +163,7 @@ class Equation(Record):
     row: tuple[int, ...]
     den: int
 
-    def __init__(self, coeffs: Sequence[Rat | int], rhs: Rat | int) -> None:
+    def __init__(self, coeffs: Sequence[Fraction | int], rhs: Fraction | int) -> None:
         values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*coeffs, rhs)]
         row, den = _scaled(values)
         # the instance is frozen, so its fields go straight into its dict
@@ -179,11 +178,11 @@ class Equation(Record):
         return eq
 
     @cached_view
-    def coeffs(self) -> tuple[Rat, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.row[:-1])
 
     @cached_view
-    def rhs(self) -> Rat:
+    def rhs(self) -> Fraction:
         return Fraction(self.row[-1], self.den)
 
     def __repr__(self) -> str:
@@ -218,20 +217,15 @@ class LinearSystem(Record):
     def n(self) -> int:
         return len(self.equations)
 
-    def satisfied_by(self, point: Sequence[Rat | int]) -> bool:
-        if len(point) != self.unknowns:
-            raise ValueError("dimension mismatch")
-        return witness_satisfies(self, AffineSolutionSet(tuple(map(Fraction, point)), ()))
 
-
-def linear_system(rows: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int]) -> LinearSystem:
+def linear_system(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> LinearSystem:
     if len(rows) != len(rhs):
         raise ValueError("one right-hand side per row required")
     k = len(rows[0]) if rows else 0
     return LinearSystem(k, tuple(Equation(r, b) for r, b in zip(rows, rhs)))
 
 
-def _scaled(values: Sequence[Rat | int]) -> tuple[list[int], int]:
+def _scaled(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """``values`` as integer numerators over the lcm of their denominators."""
     den = lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
@@ -456,9 +450,10 @@ def _first_minimum_inconsistent(
     ``path`` runs from the root and ``j`` is the next row to try below
     it; ``dirt`` counts the uncovered rows of the path. The root is empty,
     or the one row of ``bad`` (the root lemma), which is pushed first and
-    never tried again. Returns the last hit sorted, which is the
-    size-then-lex first minimum, or ``None`` when no subset of at most
-    ``k + 1`` rows is inconsistent.
+    never tried again; ``helly_certify`` has already answered a root that
+    reads ``0 = c``, so the root has a pivot. Returns the last hit sorted,
+    which is the size-then-lex first minimum, or ``None`` when no subset
+    of at most ``k + 1`` rows is inconsistent.
     """
     n = len(rows)
     cap = min(k + 1, n)
@@ -471,10 +466,7 @@ def _first_minimum_inconsistent(
     j = dirt = 0
     root = bad[0] if len(bad) == 1 else -1
     if root >= 0:
-        piv, row = path.reduced(root)
-        if piv is None:  # the root reads 0 = c on its own
-            return (root,)
-        path.push(root, piv, row)
+        path.push(root, *path.reduced(root))
         dirt = 1
     base = len(prefix)
     while True:
@@ -510,9 +502,12 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
     get a minimum-cardinality inconsistent subsystem, the first in
     increasing size then lexicographic order, found by the depth-first
     walk of the module docstring. A degenerate equation ``0 = c`` with
-    ``c != 0`` is itself a size-1 certificate; ``0 = 0`` rows are inert
-    and never appear in one. An inconsistent system whose walk could pass
-    ``MAX_CERTIFY_NODES`` nodes is refused with ``ValueError``.
+    ``c != 0`` is itself a size-1 certificate, so the first one is the
+    first minimum; ``echelon`` lists every such row, and the first listed
+    one is returned before the walk and its size check. ``0 = 0`` rows are
+    inert and never appear in a certificate. Any other inconsistent system
+    whose walk could pass ``MAX_CERTIFY_NODES`` nodes is refused with
+    ``ValueError``.
     """
     rows = [eq.row for eq in system.equations]
     found, bad = echelon(rows, system.unknowns)
@@ -521,6 +516,9 @@ def helly_certify(system: LinearSystem) -> HellyCertificate:
         if not witness_satisfies(system, witness):
             raise InvariantViolation("computed witness fails to satisfy the system")
         return Consistent(witness)
+    degenerate = next((i for i in bad if not any(rows[i][:-1])), None)
+    if degenerate is not None:
+        return Inconsistent((degenerate,))
     _check_search_size(system.n, system.unknowns, len(bad) == 1)
     idx = _first_minimum_inconsistent(rows, system.unknowns, bad)
     if idx is None:

@@ -17,7 +17,8 @@ sign bookkeeping: ``sign_one`` for one radical, ``sign_quartic`` for the
 full form. No predicate builds a ``Fraction``: integers keep the gcd work
 of rational arithmetic out of the kernel and the separation query. A
 point shows its coordinates as ``QuadVal`` through its ``x`` and ``y``
-views, and a value shows ``Fraction`` parts through ``a`` and ``b``.
+views, and a value shows its rational part p/w as a ``Fraction``
+through its ``a`` view.
 
 No epsilon appears anywhere in this module, and no predicate reads a
 float. The helpers at the bottom are for display only: certified dyadic
@@ -66,9 +67,9 @@ def _normalize(p: int, q: int, d: int, w: int) -> QuadVal:
 
 
 class QuadVal(Record):
-    """The exact value (p + q*sqrt(d))/w = a + b*sqrt(d), built by
-    ``_normalize``: w > 0, d >= 0, q = 0 when d = 0 and gcd(p, q, w) = 1,
-    so the value and d fix p, q and w. ``a`` and ``b`` are views, built when read."""
+    """The exact value (p + q*sqrt(d))/w, built by ``_normalize``: w > 0, d >= 0, q = 0 when d = 0 and gcd(p, q, w) = 1,
+    so the value and d fix p, q and w. ``a``, the rational part p/w, is a
+    view built when read."""
 
     p: int
     q: int
@@ -82,50 +83,9 @@ class QuadVal(Record):
     def a(self) -> Fraction:
         return Fraction(self.p, self.w)
 
-    @cached_view
-    def b(self) -> Fraction:
-        return Fraction(self.q, self.w)
-
-    def sign(self) -> int:
-        return sign_one(self.p, self.q, self.d)
-
     @property
     def is_rational(self) -> bool:
         return self.d == 0
-
-    def rational(self) -> Fraction:
-        if self.d != 0:
-            raise ValueError("value carries a nontrivial radical")
-        return self.a
-
-    def _join(self, other) -> tuple[QuadVal, int]:
-        """``other`` as a ``QuadVal``, and the radicand the two share."""
-        o = other if isinstance(other, QuadVal) else quadval(other)
-        if self.d and o.d and o.d != self.d:
-            raise ArithmeticError("mixing distinct radicands; use qcmp/sign helpers instead")
-        return o, self.d or o.d
-
-    def __add__(self, other) -> QuadVal:
-        o, d = self._join(other)
-        return _normalize(self.p * o.w + o.p * self.w, self.q * o.w + o.q * self.w, d, self.w * o.w)
-
-    def __sub__(self, other) -> QuadVal:
-        o, d = self._join(other)
-        return _normalize(self.p * o.w - o.p * self.w, self.q * o.w - o.q * self.w, d, self.w * o.w)
-
-    def __mul__(self, other) -> QuadVal:
-        o, d = self._join(other)
-        return _normalize(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, d, self.w * o.w)
-
-    __rmul__ = __mul__
-
-
-def quadval(a, b=0, d=0) -> QuadVal:
-    """The value a + b*sqrt(d) for rationals a, b and d >= 0."""
-    (an, ad), (bn, bd), (dn, dd) = (Fraction(v).as_integer_ratio() for v in (a, b, d))
-    bd *= dd  # sqrt(dn/dd) = sqrt(dn*dd)/dd
-    w = lcm(ad, bd)
-    return _normalize(an * (w // ad), bn * (w // bd), dn * dd, w)
 
 
 def sign_one(a: int, b: int, d: int) -> int:
@@ -221,16 +181,6 @@ def qpoint(x, y) -> QuadPoint:
     (xn, xd), (yn, yd) = Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio()
     w = lcm(xd, yd)
     return QuadPoint(xn * (w // xd), 0, yn * (w // yd), 0, 0, w)
-
-
-def quadpoint(x: QuadVal, y: QuadVal) -> QuadPoint:
-    """Point from two coordinates that share one radicand."""
-    d = x.d or y.d
-    if y.d not in (0, d):
-        raise ValueError("coordinates must share one radicand")
-    w = lcm(x.w, y.w)
-    fx, fy = w // x.w, w // y.w
-    return QuadPoint(x.p * fx, x.q * fx, y.p * fy, y.q * fy, d, w)
 
 
 def _cmp(a1: int, b1: int, w1: int, d1: int, a2: int, b2: int, w2: int, d2: int) -> int:

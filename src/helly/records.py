@@ -22,8 +22,10 @@ from typing import Callable
 class cached_view:
     """An attribute computed by ``fn`` on first read and kept in the
     instance's dict, where later reads find it first: the ``Fraction``
-    views of ``Equation``, ``Disk`` and ``QuadVal``, which keep integers,
-    and the ``QuadVal`` coordinates of a ``QuadPoint``. It is
+    views of records that keep integers (``coeffs`` and ``rhs`` of an
+    ``Equation``, ``x``, ``y`` and ``r`` of a ``Disk``, ``a`` of a
+    ``QuadVal``) and the ``QuadVal`` coordinates ``x`` and ``y`` of a
+    ``QuadPoint``. It is
     ``functools.cached_property`` without the lock that CPython 3.11
     takes on every first read: 1.5 against 1.1 microseconds for a first
     read that builds one ``Fraction`` (2-core x86). Threads that race on

@@ -1,16 +1,28 @@
-"""Shared random generators, test-only exact predicates and the reference
-instance writers and generators."""
+"""Shared random generators, test-only exact predicates, the reference
+algebra of radical values and solution sets, and the reference instance
+writers and generators."""
 
 import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
-from helly import Disk, Equation, LinearSystem, disk, linear_system, triple_meet
+from helly import (
+    AffineSolutionSet,
+    Disk,
+    Equation,
+    LinearSystem,
+    disk,
+    linear_system,
+    rank,
+    triple_meet,
+    witness_satisfies,
+)
 from helly.instances import FORMAT_VERSION, _rat_pair
 from helly.linear import _Path
-from helly.radicals import QuadPoint, QuadVal, Vec, sign_of, sign_quartic
+from helly.radicals import QuadPoint, QuadVal, Vec, _normalize, sign_of, sign_one, sign_quartic
+from helly.records import cached_view
 
 
 def random_nondegenerate_system(rng, k=None, n=None, planted=None, lo=-5, hi=5) -> LinearSystem:
@@ -280,6 +292,108 @@ def first_violating_triple(family) -> tuple[int, int, int] | None:
     return None
 
 
+# -- the reference algebra: exact field operations the library never runs ----
+
+
+class RefQuadVal(QuadVal):
+    """A ``QuadVal`` with the exact field operations: sums, differences and
+    products with values of the same radicand or with rationals, the sign,
+    the rational value, and the ``Fraction`` view ``b`` = q/w of the
+    radical part. The library decides by sign tests on integers and never
+    runs these; the tests check it against them."""
+
+    @cached_view
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.w)
+
+    def sign(self) -> int:
+        return sign_one(self.p, self.q, self.d)
+
+    def rational(self) -> Fraction:
+        if self.d != 0:
+            raise ValueError("value carries a nontrivial radical")
+        return self.a
+
+    def _join(self, other) -> tuple["RefQuadVal", int]:
+        """``other`` as a ``RefQuadVal``, and the radicand the two share."""
+        o = ref(other)
+        if self.d and o.d and o.d != self.d:
+            raise ArithmeticError("mixing distinct radicands; use qcmp/sign helpers instead")
+        return o, self.d or o.d
+
+    def __add__(self, other) -> "RefQuadVal":
+        o, d = self._join(other)
+        return ref(_normalize(self.p * o.w + o.p * self.w, self.q * o.w + o.q * self.w, d, self.w * o.w))
+
+    def __sub__(self, other) -> "RefQuadVal":
+        o, d = self._join(other)
+        return ref(_normalize(self.p * o.w - o.p * self.w, self.q * o.w - o.q * self.w, d, self.w * o.w))
+
+    def __mul__(self, other) -> "RefQuadVal":
+        o, d = self._join(other)
+        return ref(_normalize(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, d, self.w * o.w))
+
+    __rmul__ = __mul__
+
+
+# ``Record`` reads a class's fields from its own annotations
+RefQuadVal._fields = QuadVal._fields
+
+
+def ref(v) -> RefQuadVal:
+    """``v``, a ``QuadVal`` or a rational, as a ``RefQuadVal``."""
+    if isinstance(v, RefQuadVal):
+        return v
+    if isinstance(v, QuadVal):
+        return RefQuadVal(v.p, v.q, v.d, v.w)
+    return quadval(v)
+
+
+def quadval(a, b=0, d=0) -> RefQuadVal:
+    """The value a + b*sqrt(d) for rationals a, b and d >= 0."""
+    (an, ad), (bn, bd), (dn, dd) = (Fraction(v).as_integer_ratio() for v in (a, b, d))
+    bd *= dd  # sqrt(dn/dd) = sqrt(dn*dd)/dd
+    w = lcm(ad, bd)
+    return ref(_normalize(an * (w // ad), bn * (w // bd), dn * dd, w))
+
+
+def quadpoint(x: QuadVal, y: QuadVal) -> QuadPoint:
+    """Point from two coordinates that share one radicand."""
+    d = x.d or y.d
+    if y.d not in (0, d):
+        raise ValueError("coordinates must share one radicand")
+    w = lcm(x.w, y.w)
+    fx, fy = w // x.w, w // y.w
+    return QuadPoint(x.p * fx, x.q * fx, y.p * fy, y.q * fy, d, w)
+
+
+def element(sol: AffineSolutionSet, weights) -> tuple[Fraction, ...]:
+    """The set element ``point + sum(w_i * basis_i)``."""
+    if len(weights) != len(sol.basis):
+        raise ValueError("one weight per basis vector required")
+    out = list(sol.point)
+    for w, vec in zip(weights, sol.basis):
+        wf = Fraction(w)
+        for j, v in enumerate(vec):
+            out[j] += wf * v
+    return tuple(out)
+
+
+def contains(sol: AffineSolutionSet, point) -> bool:
+    """Exact membership: point - witness must lie in the basis span."""
+    if len(point) != len(sol.point):
+        raise ValueError("dimension mismatch")
+    delta = tuple(Fraction(p) - q for p, q in zip(point, sol.point))
+    return rank(sol.basis) == rank(sol.basis + (delta,))
+
+
+def satisfied_by(system: LinearSystem, point) -> bool:
+    """Does the rational ``point`` solve every equation of ``system``?"""
+    if len(point) != system.unknowns:
+        raise ValueError("dimension mismatch")
+    return witness_satisfies(system, AffineSolutionSet(tuple(map(Fraction, point)), ()))
+
+
 # -- exact predicates used only by the tests ---------------------------------
 
 
@@ -290,7 +404,7 @@ def first_violating_triple(family) -> tuple[int, int, int] | None:
 
 def vec_from(p: QuadPoint, cx: Fraction, cy: Fraction) -> Vec:
     """Vector from the rational point (cx, cy) to p."""
-    return (p.x - cx, p.y - cy)
+    return (ref(p.x) - cx, ref(p.y) - cy)
 
 
 def _vec_radicand(v: Vec) -> int:
@@ -299,7 +413,7 @@ def _vec_radicand(v: Vec) -> int:
 
 def _bilinear_coeffs(u: Vec, v: Vec, cross: bool):
     """Quartic-form coefficients of u x v (cross) or u . v (dot)."""
-    (ux, uy), (vx, vy) = u, v
+    (ux, uy), (vx, vy) = map(ref, u), map(ref, v)
     if cross:
         e = (
             ux.a * vy.a - uy.a * vx.a,
@@ -341,7 +455,7 @@ def vec_in_ccw_span(x: Vec, a: Vec, b: Vec) -> bool:
 def quadval_disk_side(p: QuadPoint, d: Disk) -> int:
     """Side of p against d (-1 inside, 0 on the circle, +1 outside) through
     ``QuadVal`` arithmetic, the reference for the direct ``disk_side``."""
-    ux, uy = p.x - d.x, p.y - d.y
+    ux, uy = ref(p.x) - d.x, ref(p.y) - d.y
     return (ux * ux + uy * uy - d.r * d.r).sign()
 
 

@@ -25,13 +25,14 @@ import helly.radicals
 from helly.disks import disk_side, walk_order
 from helly.instances import gen_helly_disks, gen_random_disks, venn_triple
 from helly.oracles import GridSpec, grid_meet_oracle, inside, lowest_common_point
-from helly.radicals import quadpoint, quadval
 from helly.separation import ArcInterior, separating_line
 from helpers import (
     first_violating_triple,
     lattice_family,
     midpoint_side,
     prime_family,
+    quadpoint,
+    quadval,
     quadval_disk_side,
     random_family,
     ring_family,

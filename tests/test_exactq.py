@@ -13,7 +13,7 @@ from helly.errors import InvariantViolation
 from helly.exactq import _solve_scaled, bareiss_update, echelon, integer_row, rank, reduced_echelon, solve_affine
 from helly.linear import _Path, check_subsystem
 from helly.oracles import naive_rank
-from helpers import random_structured_system
+from helpers import contains, element, random_structured_system
 
 TETRA_COEFF = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
 TETRA_RHS = [0, 0, 0, 1]
@@ -230,7 +230,7 @@ def test_solve_zero_rows_gives_whole_space():
     sol = solve_affine([], [], 3)
     assert sol.point == (0, 0, 0)
     assert sol.dim == 3
-    assert sol.contains((5, Fraction(-7, 3), 0))
+    assert contains(sol, (5, Fraction(-7, 3), 0))
 
 
 def test_solve_underdetermined_has_nullspace():
@@ -242,7 +242,7 @@ def test_solve_underdetermined_has_nullspace():
     for vec in sol.basis:
         assert sum(vec) == 0
     # (1, 1, 1) is normal to the plane, so outside the basis span
-    assert not sol.contains((7, 1, 1))
+    assert not contains(sol, (7, 1, 1))
 
 
 def test_solution_residuals_are_exactly_zero():
@@ -255,14 +255,14 @@ def test_solution_residuals_are_exactly_zero():
         sol = solve_affine(rows, rhs, c)
         assert sol is not None
         for weights in ([0] * sol.dim, [1] * sol.dim, list(range(1, sol.dim + 1))):
-            pt = sol.element(weights)
+            pt = element(sol, weights)
             for row, b in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(row, pt)) == b
-        assert sol.contains(x0)
+        assert contains(sol, x0)
         # a nonzero coefficient row is orthogonal to the basis, so not in its span
         for row in rows:
             if any(row):
-                assert not sol.contains([p + a for p, a in zip(sol.point, row)])
+                assert not contains(sol, [p + a for p, a in zip(sol.point, row)])
 
 
 def test_solve_rhs_length_checked():

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from helly.cli import (
     _GENERATORS,
     MAX_GEN_COEFFS,
     MAX_GEN_K,
+    MAX_CERTIFY_WORK,
     MAX_GEN_N,
     MAX_PRECISION,
     MAX_SAMPLE_INDICES,
@@ -41,7 +43,7 @@ from helly.instances import (
     venn_triple,
 )
 from helly.disks import Disk, disk, minimalist_helly_check
-from helly.exactq import integer_row
+from helly.exactq import echelon, integer_row
 from helly.linear import Equation, LinearSystem, linear_system
 from helly.radicals import point_float
 
@@ -51,6 +53,7 @@ from helpers import (
     reference_dumps_disks,
     reference_dumps_linear,
     ring_family,
+    satisfied_by,
 )
 
 
@@ -309,7 +312,7 @@ def test_cli_consistent_linear_certifies_zero(tmp_path, capsys):
     assert payload["verdict"] == "consistent"
     system = parse_instance(path.read_text())
     point = [__import__("fractions").Fraction(n, d) for n, d in payload["witness"]["point"]]
-    assert system.satisfied_by(point)
+    assert satisfied_by(system, point)
 
 
 def test_cli_empty_system_certifies_whole_space(tmp_path, capsys):
@@ -1037,6 +1040,140 @@ def test_cli_sample_refuses_too_much_elimination(tmp_path, capsys, monkeypatch):
     assert main(at_cap) == 0
     assert len(sampled) == 1
     assert capsys.readouterr().out.startswith(f"drew {trials} subsystems of size {size}: ")
+
+
+def _planted_with(*extra):
+    """``gen_consistent_linear(2000, 6, seed=1)`` with each ``(at, coeffs,
+    rhs)`` of ``extra`` inserted at index ``at`` in turn (``None``
+    appends)."""
+    planted = gen_consistent_linear(2000, 6, seed=1)
+    rows = [list(eq.coeffs) for eq in planted.equations]
+    rhs = [eq.rhs for eq in planted.equations]
+    for at, row, b in extra:
+        at = len(rows) if at is None else at
+        rows.insert(at, row)
+        rhs.insert(at, b)
+    return linear_system(rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "extra, listed, expected",
+    [
+        # the fold lists the one row 0 = 1, the root of the walk
+        ([(None, [0] * 6, 1)], 1, "{2000}"),
+        # 0 = 1 at index 5 and a generic bad row last
+        ([(5, [0] * 6, 1), (None, [1, 10, 100, 1000, 10000, 100000], 1234567)], 2, "{5}"),
+    ],
+    ids=["rooted", "two-listed"],
+)
+def test_cli_certifies_a_zero_row_before_the_size_check(tmp_path, capsys, extra, listed, expected):
+    # 2,000 planted rows in 6 unknowns: a walk over them would be refused,
+    # but a row 0 = c is a certificate alone
+    system = _planted_with(*extra)
+    assert len(echelon([eq.row for eq in system.equations], 6)[1]) == listed
+    path = tmp_path / "zero.json"
+    path.write_text(dumps_linear(system))
+    start = time.perf_counter()
+    assert main(["linear", "certify", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == f"inconsistent; smallest inconsistent subsystem: equations {expected}\n"
+    assert captured.err == ""
+
+
+def _wide_system(n, k):
+    """``n - 1`` random rows in ``k`` unknowns and row 0 again with its
+    right side moved: inconsistent, with the certificate {0, n - 1}."""
+    eqs = gen_random_linear(n - 1, k, seed=1).equations
+    return LinearSystem(k, eqs + (Equation(eqs[0].coeffs, eqs[0].rhs + 1),))
+
+
+@pytest.mark.parametrize("n, k", [(10, 1000), (11, 1000), (216, 216)], ids=["at-cap", "wide", "square"])
+def test_cli_certify_refuses_too_much_elimination(tmp_path, capsys, monkeypatch, n, k):
+    # equations * unknowns**2 is checked once the file is read and before
+    # the fold: past the cap the command is refused at once, without
+    # certifying, and at the cap it certifies
+    path = tmp_path / "wide.json"
+    path.write_text(dumps_linear(_wide_system(n, k)))
+    certified = []
+    certify = helly.cli.helly_certify
+    monkeypatch.setattr(helly.cli, "helly_certify", lambda system: certified.append(system) or certify(system))
+    start = time.perf_counter()
+    code = main(["linear", "certify", str(path)])
+    captured = capsys.readouterr()
+    if n * k * k <= MAX_CERTIFY_WORK:
+        assert (code, len(certified)) == (1, 1)
+        assert captured.out == f"inconsistent; smallest inconsistent subsystem: equations {{0, {n - 1}}}\n"
+        return
+    assert time.perf_counter() - start < 1
+    assert (code, certified, captured.out) == (2, [], "")
+    assert captured.err == (
+        f"error: the equation count times 'unknowns' squared must be at most {MAX_CERTIFY_WORK}, "
+        f"got {n * k * k}\n"
+    )
+
+
+def test_cli_reports_an_unexpected_fault_as_internal(tmp_path, capsys, monkeypatch):
+    # a fault that is neither a refused input nor a failed invariant still
+    # exits 3, never 1, the inconsistent verdict of an uncaught exception
+    path = _gen(tmp_path, "tetrahedron", "t.json")
+    capsys.readouterr()
+    monkeypatch.setattr(helly.cli, "helly_certify", lambda system: 1 // 0)
+    assert main(["linear", "certify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A standard output whose ``write`` or ``flush`` raises ``exc``."""
+
+    def __init__(self, method, exc):
+        super().__init__()
+        self.method, self.exc = method, exc
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.exc
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("exc", [BrokenPipeError, OSError], ids=["EPIPE", "ENOSPC"])
+def test_cli_reports_a_failed_stdout_write_as_an_output_error(tmp_path, capsys, monkeypatch, method, exc):
+    path = _gen(tmp_path, "consistent-linear", "c.json")
+    capsys.readouterr()
+    code = errno.EPIPE if exc is BrokenPipeError else errno.ENOSPC
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(method, exc(code, os.strerror(code))))
+    assert main(["linear", "certify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write standard output: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_cli_writing_to_a_reader_that_has_exited_is_an_output_error(tmp_path, unbuffered):
+    # the read end of the pipe is closed before the command runs: exit 2
+    # and one line on stderr, with no traceback and no "Exception ignored"
+    # from the flush at shutdown, whether or not stdout is buffered
+    path = _gen(tmp_path, "consistent-linear", "c.json")
+    src = str(Path(helly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "helly", "linear", "certify", str(path)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write standard output: Broken pipe\n")
 
 
 # -- mutated instance files ---------------------------------------------------

@@ -11,6 +11,7 @@ from helly import (
     Equation,
     EquationClass,
     Inconsistent,
+    LinearSystem,
     all_subsystems_consistent,
     check_subsystem,
     classify,
@@ -31,9 +32,11 @@ from helly.instances import (
 )
 from helly.oracles import _oracle_consistent, exhaustive_min_inconsistent
 from helpers import (
+    contains,
     random_nondegenerate_system,
     random_structured_system,
     reference_first_minimum_inconsistent,
+    satisfied_by,
 )
 
 
@@ -148,7 +151,7 @@ def test_certify_consistent_hundred_contains_planted_point():
     cert = helly_certify(s)
     assert isinstance(cert, Consistent)
     assert witness_satisfies(s, cert.witness)
-    assert cert.witness.contains(planted)
+    assert contains(cert.witness, planted)
 
 
 def test_certify_generated_consistent_system():
@@ -200,7 +203,7 @@ def test_witness_satisfies_rejects_near_misses():
 
 def _fraction_witness_check(system, witness):
     """The rational check the integer ``witness_satisfies`` replaced."""
-    if witness.unknowns != system.unknowns or not system.satisfied_by(witness.point):
+    if witness.unknowns != system.unknowns or not satisfied_by(system, witness.point):
         return False
     return all(
         sum(c * x for c, x in zip(eq.coeffs, vec)) == 0
@@ -665,14 +668,55 @@ def test_rooted_walk_matches_the_oracle_and_never_outwalks_the_unrooted_one(monk
         kept[where] += 1
         expected = exhaustive_min_inconsistent(s)
         work["nodes"] = 0
+        if where in ("degenerate", "k0"):
+            # the one listed row reads 0 = c: certified before any walk
+            assert (helly_certify(s), work["nodes"], expected) == (Inconsistent(tuple(bad)), 0, tuple(bad))
+            assert reference_first_minimum_inconsistent(rows, k, bad) == expected
+            continue
         assert helly.linear._first_minimum_inconsistent(rows, k, bad) == expected
         nodes, work["nodes"] = work["nodes"], 0
         assert reference_first_minimum_inconsistent(rows, k, bad) == expected
         assert nodes <= min(work["nodes"], 1 + sum(comb(s.n - 1, size) for size in range(1, k + 1)))
-        if where in ("degenerate", "k0"):
-            assert (nodes, expected) == (1, tuple(bad))
         assert helly_certify(s) == Inconsistent(expected)
     assert min(kept.values()) >= 40, kept
+
+
+def test_degenerate_rows_are_certified_before_the_walk(monkeypatch):
+    # 0 to 3 rows 0 = 0 or 0 = c at random places in seeded systems: the
+    # first 0 = c row is the certificate, found with no walk node, and
+    # every verdict matches the exhaustive oracle and the reference walk
+    rng = random.Random(3131)
+    work = _count_work(monkeypatch)
+    seen = dict.fromkeys(["consistent", "walked", *range(1, 4)], 0)
+    for trial in range(600):
+        if trial % 2:
+            base = random_structured_system(rng)
+            if base.n > 11:
+                continue
+        else:
+            base = random_nondegenerate_system(rng, n=rng.randint(1, 11))
+        k, eqs = base.unknowns, list(base.equations)
+        for _ in range(rng.randint(0, 3)):
+            eqs.insert(rng.randint(0, len(eqs)), Equation([0] * k, rng.choice([0, 0, 1, -3])))
+        s = LinearSystem(k, tuple(eqs))
+        rows = [eq.row for eq in eqs]
+        bad = echelon(rows, k)[1]
+        expected = exhaustive_min_inconsistent(s)
+        degenerate = [i for i, eq in enumerate(eqs) if classify(eq) is EquationClass.DEGENERATE_INCONSISTENT]
+        work["nodes"] = 0
+        cert, nodes = helly_certify(s), work["nodes"]
+        if expected is None:
+            assert isinstance(cert, Consistent) and bad == []
+            seen["consistent"] += 1
+            continue
+        assert cert == Inconsistent(expected)
+        assert reference_first_minimum_inconsistent(rows, k, bad) == expected
+        if degenerate:
+            assert (expected, nodes) == ((degenerate[0],), 0)
+            seen[min(len(degenerate), 3)] += 1
+        else:
+            seen["walked"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _full_rank_rule_system(rng, shape):

@@ -13,14 +13,12 @@ from helly.radicals import (
     qpoint,
     quad_bounds,
     quad_float,
-    quadpoint,
-    quadval,
     same_point,
     sign_one,
     sign_quartic,
     sqrt_bounds,
 )
-from helpers import _bilinear_coeffs, cross_sign, sign_nested, vec_in_ccw_span
+from helpers import _bilinear_coeffs, cross_sign, quadpoint, quadval, sign_nested, vec_in_ccw_span
 
 getcontext().prec = 80
 

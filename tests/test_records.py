@@ -187,7 +187,6 @@ def test_records_that_differ_in_one_field_are_unequal():
     "build, view",
     [
         (lambda: QuadVal(1, 2, 3, 5), "a"),
-        (lambda: QuadVal(1, 2, 3, 5), "b"),
         (lambda: QuadPoint(1, 2, 3, 4, 5, 6), "x"),
         (lambda: QuadPoint(1, 2, 3, 4, 5, 6), "y"),
         (lambda: disk(F(1, 2), 3, 1), "x"),

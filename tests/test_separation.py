@@ -22,14 +22,17 @@ from helly import (
 )
 from helly.disks import RegionKind
 from helly.instances import gen_helly_disks
-from helly.radicals import ccw_in_span, qcmp, quadpoint, quadval, turn_about
+from helly.radicals import ccw_in_span, qcmp, turn_about
 from helly.separation import _corner
 from helpers import (
     beyond_foot_sign,
     cross_sign,
     lattice_family,
     prime_family,
+    quadpoint,
+    quadval,
     random_family,
+    ref,
     ring_family,
     sign_nested,
     vec_from,
@@ -47,7 +50,7 @@ def test_full_disk_collinear_golden():
     assert res.feature == ArcInterior(0)
     assert same_point(res.on_g, qpoint(1, 0))
     assert same_point(res.on_t_exact, qpoint(3, 0))
-    assert res.gap_sq_exact.rational() == 4
+    assert ref(res.gap_sq_exact).rational() == 4
     lo, hi = res.squared_distance(30)
     assert lo == hi == 4
 
@@ -79,7 +82,7 @@ def test_arc_interior_golden_above():
     # the minimizing arc is carried by the lower-centered disk
     assert g.arcs[res.feature.arc].disk == 0
     assert same_point(res.on_g, qpoint(0, Fraction(1, 2)))
-    assert res.gap_sq_exact.rational() == Fraction(25, 4)
+    assert ref(res.gap_sq_exact).rational() == Fraction(25, 4)
     sep = separating_line(t, g)
     assert sep.carriers == (0,)
     assert sep.separated == (0,)
@@ -93,7 +96,7 @@ def test_foot_at_arc_end_loses_the_tie_to_the_corner():
     res = closest_pair(t, g)
     assert res.feature == Corner(0)
     assert same_point(res.on_g, qpoint(Fraction(3, 4), 0))
-    assert res.gap_sq_exact.rational() == Fraction(961, 16)
+    assert ref(res.gap_sq_exact).rational() == Fraction(961, 16)
     sep = separating_line(t, g)
     assert sep.carriers == (0, 1)
     assert sep.separated == (0, 1)
@@ -156,7 +159,8 @@ def test_wide_corner_carriers_can_meet_query_but_triple_is_empty():
 
 
 def _assert_line_guarantees(t, g, sep):
-    nn = sep.normal[0] * sep.normal[0] + sep.normal[1] * sep.normal[1]
+    nx, ny = map(ref, sep.normal)
+    nn = nx * nx + ny * ny
     # every corner of g on the closed region side: with u, v the vectors
     # from t's center to the corner and to the line point, the side test
     # (corner - point) . normal <= 0 reads (u - v) . v >= 0
@@ -357,7 +361,7 @@ def _query_centres(rng, arc, c):
     out = [(rat(), rat()) for _ in range(10)]
     for p in (arc.start, arc.end):
         if p.x.is_rational and p.y.is_rational:
-            px, py = p.x.rational(), p.y.rational()
+            px, py = ref(p.x).rational(), ref(p.y).rational()
             out += [(c.x + s * (px - c.x), c.y + s * (py - c.y)) for s in (Fraction(1, 3), 2, -1)]
     return [q for q in out if q != (c.x, c.y)]
 

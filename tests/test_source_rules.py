@@ -148,3 +148,87 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+# Each entry is a function that nothing under src/helly calls and that
+# helly does not export, kept for the code outside the package that uses it.
+KEPT_FOR_OUTSIDE_CALLERS = {
+    "instances.venn_triple": "bench/workloads.py and the demos build from it",
+    "separation.ClosestPairResult.squared_distance": "demos/closest_pair_cases.py prints it",
+}
+ARITHMETIC_OPERATORS = {
+    f"__{prefix}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow")
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__"}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_the_package_ships_only_what_it_runs():
+    # Outside helly.oracles, the brute-force re-checks, every function and
+    # method is referenced from src/helly outside its own body, or is a
+    # top-level name in helly.__all__; a method the language calls (a
+    # dunder) is referenced by the language. A function is referenced by
+    # a name or an attribute, a method by an attribute alone. References
+    # match by name, so a method that shares another's name (two classes
+    # with a ``contains``) passes when either is read: the rule finds
+    # names that nothing reads, not every method that nothing calls.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    uses = {
+        module: [
+            (node.id if isinstance(node, ast.Name) else node.attr, isinstance(node, ast.Attribute), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        ]
+        for module, tree in trees.items()
+    }
+    found = []
+    for module, tree in trees.items():
+        if module == "oracles":
+            continue
+        for qualname, fn in _definitions(tree):
+            name, method = fn.name, "." in qualname
+            if (
+                (name.startswith("__") and name.endswith("__"))
+                or (not method and name in helly.__all__)
+                or f"{module}.{qualname}" in KEPT_FOR_OUTSIDE_CALLERS
+            ):
+                continue
+            if not any(
+                used == name
+                and (attribute or not method)
+                and not (other == module and fn.lineno <= line <= fn.end_lineno)
+                for other, names in uses.items()
+                for used, attribute, line in names
+            ):
+                found.append(f"{module}.{qualname}")
+    assert found == []
+
+
+def test_no_class_defines_an_arithmetic_operator():
+    # the library compares radical values through its sign tests and
+    # never adds or multiplies them; the field operations are the tests'
+    # reference algebra (tests/helpers.py)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                names = [item.name] if isinstance(item, ast.FunctionDef) else []
+                if isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                found += [f"{path.stem}.{node.name}.{n}" for n in names if n in ARITHMETIC_OPERATORS]
+    assert found == []
